@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo gate: tier-1 build + tests, the backend-equivalence re-run
-# (index/GP/DTW suites under SMILER_BACKEND=native), the obs concurrency
+# (index/GP/DTW suites under SMILER_BACKEND=native), the benchmark's
+# served-vs-replayed correctness self-check, the obs concurrency
 # tests under ThreadSanitizer, the serve SPSC/soak TSan pass, the
 # tracing-overhead gate (tracing-on must stay within 3% of tracing-off on
 # the smoke Fig-7 bench), and the serve shard-scaling smoke gate (4
@@ -121,6 +122,17 @@ echo "== backend equivalence (tier-1 index/GP/DTW suites, SMILER_BACKEND=native)
 SMILER_BACKEND=native ctest --test-dir build \
   -R 'IndexTest|IndexEquivalenceTest|GpTest|DtwTest|DtwPropertyTest|BackendSelectionTest|BackendEquivalenceTest|BackendExactnessContractTest|TaskGraphEquivalenceTest' \
   --output-on-failure -j "$(nproc)" | tail -n 3
+
+echo "== benchmark self-check (perfbench workloads at tiny scale) =="
+# Serves every perfbench workload at a tiny scale, untraced and traced,
+# and fails if a served prediction differs bitwise from its sequential
+# replay or a metric BENCHMARK.json names is missing. The first run builds
+# .bench_build/; that log lands in build/ and is shown only on failure.
+if ! python3 perfbench/run.py --self-check 2>build/perfbench_self_check.log; then
+  cat build/perfbench_self_check.log >&2
+  echo "benchmark self-check FAILED" >&2
+  exit 1
+fi
 
 if [[ "$MODE" == "fast" ]]; then
   echo "== skipping TSan pass (--fast) =="

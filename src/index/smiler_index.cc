@@ -542,13 +542,26 @@ Status SmilerIndex::SearchItem(std::size_t item, const LowerBoundTable& table,
       seeds.push_back(Neighbor{nb.t, 0.0});
     }
   }
-  // Verify seed distances exactly.
+  // Verify seed distances exactly: the batched kernel with an infinite
+  // cutoff never abandons, so every lane is bitwise CompressedDtw; the
+  // last seeds.size() % kDtwBatchLanes seeds take the scalar kernel.
+  constexpr int kB = dtw::kDtwBatchLanes;
+  const int rho = cfg_.rho;
   {
     obs::StageScope seed_verify(obs::Stage::kDtwVerify);
-    std::vector<double> scratch(dtw::CompressedDtwScratchSize(cfg_.rho));
-    for (Neighbor& s : seeds) {
-      s.dist = dtw::CompressedDtw(q, series_.data() + s.t, d, cfg_.rho,
-                                  scratch.data());
+    std::vector<double> scratch(dtw::CompressedDtwBatchScratchSize(rho));
+    std::size_t s = 0;
+    for (; s + kB <= seeds.size(); s += kB) {
+      const double* lane_c[kB];
+      double dist[kB];
+      for (int l = 0; l < kB; ++l) lane_c[l] = series_.data() + seeds[s + l].t;
+      dtw::CompressedDtwEarlyAbandonBatch(q, lane_c, d, rho, kInf, dist,
+                                          scratch.data());
+      for (int l = 0; l < kB; ++l) seeds[s + l].dist = dist[l];
+    }
+    for (; s < seeds.size(); ++s) {
+      seeds[s].dist = dtw::CompressedDtw(q, series_.data() + seeds[s].t, d,
+                                         rho, scratch.data());
     }
   }
   double tau = kInf;
@@ -588,153 +601,105 @@ Status SmilerIndex::SearchItem(std::size_t item, const LowerBoundTable& table,
 
   // --- Verification: compressed-warping-matrix banded DTW on device,
   // cascade-pruned against a monotonically tightening tau ---
+  //
+  // One strip body serves both backends. Strip s of n walks candidates
+  // s, s + n, s + 2n, ... and verifies them kB at a time through the
+  // lane-batched DTW (per lane bitwise the scalar kernel), the last < kB
+  // of the strip through the scalar kernel. Each strip keeps a top-k of
+  // true distances (seeds plus what it verified): its k-th smallest is
+  // the k-th best of a subset of real candidates, hence a valid upper
+  // bound on the k-th NN distance, so every strip tightens the shared tau
+  // with a plain atomic min and the final kNN is identical under any
+  // strip count or interleaving. The prune decision reads a fresh tau per
+  // candidate; the early-abandon cutoff is the freshest tau of its batch.
   std::vector<double> cand_dist(cand.size(), kInf);
   std::atomic<double> shared_tau{tau};
   std::atomic<std::uint64_t> abandoned{0};
   std::atomic<std::uint64_t> pruned_late{0};
-  const int n_blocks =
-      static_cast<int>(std::min<std::size_t>(cand.size(), 64));
-  const SmilerIndex* self = this;
-  const std::vector<Cand>* cand_ptr = &cand;
-  std::vector<double>* dist_ptr = &cand_dist;
-  const std::vector<double>* seed_dists_ptr = &seed_dists;
-  std::atomic<double>* tau_ptr = &shared_tau;
-  std::atomic<std::uint64_t>* abandoned_ptr = &abandoned;
-  std::atomic<std::uint64_t>* pruned_ptr = &pruned_late;
   if (!cand.empty()) {
-    const simgpu::Kernel verify_kernel =
-        [self, cand_ptr, dist_ptr, seed_dists_ptr, tau_ptr, abandoned_ptr,
-         pruned_ptr, q, d, k](simgpu::BlockContext& ctx) {
-          // The query and the compressed warping matrix live in shared
-          // memory (Appendix E / Algorithm 2). Either allocation can fail
-          // (arena exhausted, or chaos-injected); the fallbacks — reading
-          // the query from global memory, heap scratch — consume the very
-          // same values, so results stay bitwise-identical either way.
-          double* shq = ctx.shared->Alloc<double>(d);
-          if (shq != nullptr) std::memcpy(shq, q, sizeof(double) * d);
-          const double* qv = shq != nullptr ? shq : q;
-          double* scratch = ctx.shared->Alloc<double>(
-              dtw::CompressedDtwScratchSize(self->cfg_.rho));
-          std::vector<double> heap_scratch;
-          if (scratch == nullptr) {
-            heap_scratch.resize(dtw::CompressedDtwScratchSize(self->cfg_.rho));
-            scratch = heap_scratch.data();
+    const std::size_t n_strips =
+        std::min(device_->parallelism(), (cand.size() + 15) / 16);
+    const auto verify_strip = [&](std::size_t strip, const double* qv,
+                                  double* scratch) {
+      std::priority_queue<double> topk(seed_dists.begin(), seed_dists.end());
+      auto finish = [&](std::size_t idx, double dist) {
+        if (dist == kInf) {
+          abandoned.fetch_add(1, std::memory_order_relaxed);
+          return;
+        }
+        cand_dist[idx] = dist;
+        if (static_cast<int>(topk.size()) < k) {
+          topk.push(dist);
+        } else if (dist < topk.top()) {
+          topk.pop();
+          topk.push(dist);
+        }
+        if (static_cast<int>(topk.size()) >= k) {
+          AtomicMinDouble(&shared_tau, topk.top());
+        }
+      };
+      const double* lane_c[kB];
+      std::size_t lane_idx[kB];
+      std::size_t idx = strip;
+      while (idx < cand.size()) {
+        int nl = 0;
+        double tau_now = kInf;
+        while (nl < kB && idx < cand.size()) {
+          tau_now = shared_tau.load(std::memory_order_relaxed);
+          if (cand[idx].lb > tau_now) {
+            // tau tightened below this candidate's bound after the static
+            // filter ran: its distance can no longer make the top k.
+            pruned_late.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            lane_c[nl] = series_.data() + cand[idx].t;
+            lane_idx[nl] = idx;
+            ++nl;
           }
-          // Block-local top-k of true distances (seeds plus what this
-          // block verified). Its k-th smallest is the k-th best of a
-          // subset of real candidates, hence a valid upper bound on the
-          // k-th NN distance — each block can therefore tighten the
-          // shared tau with a plain atomic min, no coordination needed.
-          std::priority_queue<double> topk(seed_dists_ptr->begin(),
-                                           seed_dists_ptr->end());
-          for (std::size_t idx = ctx.block_id; idx < cand_ptr->size();
-               idx += ctx.grid_dim) {
-            const Cand& c = (*cand_ptr)[idx];
-            const double tau_now =
-                tau_ptr->load(std::memory_order_relaxed);
-            if (c.lb > tau_now) {
-              // tau tightened below this candidate's bound after the
-              // static filter ran: its distance can no longer make the
-              // top k, skip the DTW entirely.
-              pruned_ptr->fetch_add(1, std::memory_order_relaxed);
-              continue;
-            }
-            const double dist = dtw::CompressedDtwEarlyAbandon(
-                qv, self->series_.data() + c.t, d, self->cfg_.rho, tau_now,
-                scratch);
-            if (dist == kInf) {
-              abandoned_ptr->fetch_add(1, std::memory_order_relaxed);
-              continue;
-            }
-            (*dist_ptr)[idx] = dist;
-            if (static_cast<int>(topk.size()) < k) {
-              topk.push(dist);
-            } else if (dist < topk.top()) {
-              topk.pop();
-              topk.push(dist);
-            }
-            if (static_cast<int>(topk.size()) >= k) {
-              AtomicMinDouble(tau_ptr, topk.top());
-            }
+          idx += n_strips;
+        }
+        if (nl == kB) {
+          double dist[kB];
+          dtw::CompressedDtwEarlyAbandonBatch(qv, lane_c, d, rho, tau_now,
+                                              dist, scratch);
+          for (int l = 0; l < kB; ++l) finish(lane_idx[l], dist[l]);
+        } else {
+          for (int l = 0; l < nl; ++l) {
+            finish(lane_idx[l],
+                   dtw::CompressedDtwEarlyAbandon(
+                       qv, lane_c[l], d, rho,
+                       shared_tau.load(std::memory_order_relaxed), scratch));
           }
-        };
-    // Native body: the same filter-and-verify cascade as straight-line
-    // batched loops. Candidates are walked in a handful of coarse strips
-    // (each with its own seed-initialized top-k heap, publishing into the
-    // shared tau exactly like a grid block) and verified four at a time
-    // through the lane-batched DTW kernel — per lane the arithmetic is
-    // bitwise the scalar kernel's, and the tau-monotonicity invariant
-    // makes the final kNN identical under any strip/batch decomposition.
-    // The prune decision is taken against a fresh tau per candidate;
-    // only the early-abandon cutoff is per batch (a valid — merely
-    // slightly staler — upper bound, so exactness is untouched; the
-    // abandoned/pruned split was timing-dependent already).
+        }
+      }
+    };
+    // Grid: one strip per block, the query and the lane-major compressed
+    // warping matrix in shared memory (Appendix E / Algorithm 2). Either
+    // allocation can fail (arena exhausted, or chaos-injected); the
+    // fallbacks — the query from global memory, heap scratch — hold the
+    // very same values, so results stay bitwise-identical either way.
+    const simgpu::Kernel verify_kernel = [&](simgpu::BlockContext& ctx) {
+      double* shq = ctx.shared->Alloc<double>(d);
+      if (shq != nullptr) std::memcpy(shq, q, sizeof(double) * d);
+      double* scratch =
+          ctx.shared->Alloc<double>(dtw::CompressedDtwBatchScratchSize(rho));
+      std::vector<double> heap_scratch;
+      if (scratch == nullptr) {
+        heap_scratch.resize(dtw::CompressedDtwBatchScratchSize(rho));
+        scratch = heap_scratch.data();
+      }
+      verify_strip(static_cast<std::size_t>(ctx.block_id),
+                   shq != nullptr ? shq : q, scratch);
+    };
     const simgpu::NativeKernel verify_native =
-        [self, cand_ptr, dist_ptr, seed_dists_ptr, tau_ptr, abandoned_ptr,
-         pruned_ptr, q, d, k](simgpu::NativeContext& nctx) {
-          const std::size_t n_cand = cand_ptr->size();
-          std::size_t n_strips =
-              std::min<std::size_t>(nctx.parallelism(), (n_cand + 15) / 16);
-          if (n_strips == 0) n_strips = 1;
+        [&](simgpu::NativeContext& nctx) {
           nctx.ParallelFor(n_strips, [&](std::size_t strip) {
-            constexpr int kB = dtw::kDtwBatchLanes;
-            const int rho = self->cfg_.rho;
-            std::vector<double> scratch(dtw::CompressedDtwBatchScratchSize(rho));
-            std::priority_queue<double> topk(seed_dists_ptr->begin(),
-                                             seed_dists_ptr->end());
-            auto finish = [&](std::size_t idx, double dist) {
-              if (dist == kInf) {
-                abandoned_ptr->fetch_add(1, std::memory_order_relaxed);
-                return;
-              }
-              (*dist_ptr)[idx] = dist;
-              if (static_cast<int>(topk.size()) < k) {
-                topk.push(dist);
-              } else if (dist < topk.top()) {
-                topk.pop();
-                topk.push(dist);
-              }
-              if (static_cast<int>(topk.size()) >= k) {
-                AtomicMinDouble(tau_ptr, topk.top());
-              }
-            };
-            const double* lane_c[kB];
-            std::size_t lane_idx[kB];
-            std::size_t idx = strip;
-            while (idx < n_cand) {
-              int nl = 0;
-              double tau_now = kInf;
-              while (nl < kB && idx < n_cand) {
-                tau_now = tau_ptr->load(std::memory_order_relaxed);
-                const auto& c = (*cand_ptr)[idx];
-                if (c.lb > tau_now) {
-                  pruned_ptr->fetch_add(1, std::memory_order_relaxed);
-                } else {
-                  lane_c[nl] = self->series_.data() + c.t;
-                  lane_idx[nl] = idx;
-                  ++nl;
-                }
-                idx += n_strips;
-              }
-              if (nl == kB) {
-                double dist[kB];
-                dtw::CompressedDtwEarlyAbandonBatch(q, lane_c, d, rho,
-                                                    tau_now, dist,
-                                                    scratch.data());
-                for (int l = 0; l < kB; ++l) finish(lane_idx[l], dist[l]);
-              } else {
-                for (int l = 0; l < nl; ++l) {
-                  const double dist = dtw::CompressedDtwEarlyAbandon(
-                      q, lane_c[l], d, rho,
-                      tau_ptr->load(std::memory_order_relaxed),
-                      scratch.data());
-                  finish(lane_idx[l], dist);
-                }
-              }
-            }
+            std::vector<double> scratch(
+                dtw::CompressedDtwBatchScratchSize(rho));
+            verify_strip(strip, q, scratch.data());
           });
         };
-    SMILER_RETURN_NOT_OK(device_->Launch("index.verify_dtw", n_blocks,
+    SMILER_RETURN_NOT_OK(device_->Launch("index.verify_dtw",
+                                         static_cast<int>(n_strips),
                                          cfg_.omega, verify_kernel,
                                          verify_native));
   }

@@ -35,10 +35,9 @@ Result<BackendKind> BackendKindFromEnv() {
 
 namespace {
 
-/// The historical simulated-grid execution: one fresh SharedMemory arena
-/// and BlockContext per block, blocks fanned over the device pool, a
-/// wall-time observation and high-water update per block. Byte-for-byte
-/// the pre-backend Device::Launch body.
+/// The simulated-grid execution: one private SharedMemory arena and
+/// BlockContext per block, blocks fanned over the device pool, a
+/// wall-time observation and high-water update per block.
 class SimGridBackend final : public Backend {
  public:
   BackendKind kind() const override { return BackendKind::kSimGrid; }
@@ -50,8 +49,10 @@ class SimGridBackend final : public Backend {
     const Kernel& kernel = *spec.grid;
     spec.pool->ParallelFor(
         static_cast<std::size_t>(grid_dim), [&](std::size_t block) {
-          // Each block owns a fresh shared-memory arena, like a CUDA SM
-          // assigning shared memory per resident block.
+          // Each block owns its shared-memory arena, like a CUDA SM
+          // assigning shared memory per resident block. Nothing is
+          // allocated until the kernel's first Alloc, and nothing is
+          // zeroed: CUDA shared memory starts undefined too.
           SharedMemory shared(shared_bytes);
           BlockContext ctx;
           ctx.block_id = static_cast<int>(block);

@@ -19,13 +19,14 @@ namespace simgpu {
 
 /// \brief Which execution strategy a Device runs its kernel launches on.
 ///
-/// kSimGrid is the historical simulated-GPU grid: one BlockContext + fresh
-/// SharedMemory arena per block, blocks fanned over the device pool —
-/// byte-for-byte the pre-backend behavior. kNative executes a kernel's
-/// straight-line native body (when the launch site supplies one) with no
-/// block emulation at all: no arenas, no per-block timers, flat
-/// vectorizable loops. Every migrated kernel is bitwise-identical across
-/// backends (docs/performance.md "Execution backends").
+/// kSimGrid is the simulated-GPU grid: one BlockContext + private
+/// SharedMemory arena per block (allocated on its first Alloc, contents
+/// uninitialized as in CUDA), blocks fanned over the device pool.
+/// kNative executes a kernel's straight-line native body (when the launch
+/// site supplies one) with no block emulation at all: no arenas, no
+/// per-block timers, flat vectorizable loops. Every migrated kernel is
+/// bitwise-identical across backends (docs/performance.md "Execution
+/// backends").
 enum class BackendKind {
   kSimGrid,
   kNative,
@@ -63,10 +64,6 @@ class NativeContext {
   /// it as a work-size hint; nothing forces a block decomposition.
   int grid_dim() const { return grid_dim_; }
   int block_dim() const { return block_dim_; }
-
-  /// Upper bound on useful concurrent strips: the device pool's workers
-  /// plus the calling thread (ParallelFor callers participate).
-  std::size_t parallelism() const { return pool_->size() + 1; }
 
   /// Runs fn(i) for every i in [0, n) over the device pool.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {

@@ -120,6 +120,9 @@ class Device {
   std::size_t memory_used() const { return used_.load(); }
   std::size_t memory_budget() const { return budget_; }
   std::size_t shared_memory_bytes() const { return shared_bytes_; }
+  /// Upper bound on useful concurrent blocks or strips: the device pool's
+  /// workers plus the calling thread (ParallelFor callers participate).
+  std::size_t parallelism() const { return pool_->size() + 1; }
 
   const DeviceStats& stats() const { return stats_; }
   void ResetStats() {

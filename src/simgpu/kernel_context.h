@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <new>
-#include <vector>
 
 #include "chaos/fault.h"
 
@@ -17,11 +17,14 @@ namespace simgpu {
 /// The paper stores the compressed DTW warping matrix and the query in
 /// shared memory (Appendix E); kernels written against this arena exercise
 /// the same capacity constraint (default 64 KiB, matching the paper's note
-/// "up to 64KB").
+/// "up to 64KB"). As in CUDA, the contents start uninitialized: the arena
+/// is allocated on the first Alloc and never zero-filled, so a block that
+/// uses no shared memory costs nothing and kernels must write before they
+/// read.
 class SharedMemory {
  public:
   explicit SharedMemory(std::size_t capacity_bytes)
-      : data_(capacity_bytes), used_(0), high_water_(0) {}
+      : capacity_(capacity_bytes), used_(0), high_water_(0) {}
 
   /// Bump-allocates \p count elements of T. Returns nullptr when the
   /// request exceeds the remaining capacity (kernel authors must treat
@@ -30,33 +33,37 @@ class SharedMemory {
   template <typename T>
   T* Alloc(std::size_t count) {
     if (SMILER_FAULT_TRIGGERED("shared_mem.alloc")) return nullptr;
+    if (data_ == nullptr) {
+      data_ = std::make_unique_for_overwrite<std::byte[]>(capacity_);
+    }
     const std::size_t align = alignof(T);
     // Align the absolute address, not just the offset: the arena base is
     // only guaranteed new-aligned, so an over-aligned T must shift its
     // first allocation relative to the base.
-    const auto base = reinterpret_cast<std::uintptr_t>(data_.data());
+    const auto base = reinterpret_cast<std::uintptr_t>(data_.get());
     const std::uintptr_t aligned = (base + used_ + align - 1) / align * align;
     const std::size_t offset = static_cast<std::size_t>(aligned - base);
-    if (offset > data_.size()) return nullptr;
+    if (offset > capacity_) return nullptr;
     // Divide instead of multiplying: `count * sizeof(T)` can wrap, which
     // would hand out a pointer into a too-small arena.
-    if (count > (data_.size() - offset) / sizeof(T)) return nullptr;
+    if (count > (capacity_ - offset) / sizeof(T)) return nullptr;
     used_ = offset + count * sizeof(T);
     if (used_ > high_water_) high_water_ = used_;
-    return reinterpret_cast<T*>(data_.data() + offset);
+    return reinterpret_cast<T*>(data_.get() + offset);
   }
 
   /// Releases all allocations (block exit). The high-water mark survives.
   void Reset() { used_ = 0; }
 
-  std::size_t capacity() const { return data_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
   /// Largest `used()` ever reached — the arena's occupancy profile. Never
   /// exceeds capacity() (over-capacity Allocs fail instead of counting).
   std::size_t high_water() const { return high_water_; }
 
  private:
-  std::vector<std::byte> data_;
+  std::unique_ptr<std::byte[]> data_;
+  std::size_t capacity_;
   std::size_t used_;
   std::size_t high_water_;
 };

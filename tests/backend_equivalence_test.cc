@@ -274,10 +274,11 @@ TEST(BackendEquivalenceTest, LowerBoundKernelsMatchBitwise) {
 }
 
 TEST(BackendEquivalenceTest, StreamedSearchMatchesAcrossBackends) {
-  // index.verify_dtw end-to-end: neighbors (timestamps and distances)
-  // from the batched native verify must equal the grid backend's bit for
-  // bit at every step of a continuous search-append stream — including
-  // the threshold-reuse seeding that feeds each step from the last.
+  // index.verify_dtw end-to-end: both backends run the same verify strip
+  // body, the grid with its query and scratch in shared memory, native on
+  // the heap. Neighbors (timestamps and distances) must agree bit for bit
+  // at every step of a continuous search-append stream — including the
+  // threshold-reuse seeding that feeds each step from the last.
   simgpu::Device sim = MakeDevice(BackendKind::kSimGrid);
   simgpu::Device native = MakeDevice(BackendKind::kNative);
   SmilerConfig cfg = SmallConfig();
@@ -382,10 +383,11 @@ TEST(BackendEquivalenceTest, BatchedDtwMatchesScalarLanewise) {
 // --- Forced-backend exactness-contract fixture -----------------------------
 
 /// Runs the dtw_property_test CompressedEarlyAbandonExactnessContract sweep
-/// with the kernel the verify stage actually executes under each backend:
-/// the scalar early-abandon kernel on the simulated grid, the 4-lane
-/// batched kernel under native (lane 0 carries the candidate; the other
-/// lanes hold independent decoys so cross-lane interference would show).
+/// through the two kernels a verify strip executes under either backend:
+/// the scalar early-abandon kernel (a strip's tail of fewer than four
+/// candidates) for the simgpu parameter, the 4-lane batched kernel for the
+/// native one (lane 0 carries the candidate; the other lanes hold
+/// independent decoys so cross-lane interference would show).
 class BackendExactnessContractTest
     : public ::testing::TestWithParam<BackendKind> {
  protected:

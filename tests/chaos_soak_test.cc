@@ -10,6 +10,7 @@
 #include <iostream>
 #include <string>
 
+#include "case_scratch_dir.h"
 #include "chaos/fault.h"
 #include "chaos/scenario.h"
 
@@ -17,7 +18,8 @@ namespace smiler {
 namespace chaos {
 namespace {
 
-ScenarioOptions SoakOptions(std::uint64_t seed) {
+ScenarioOptions SoakOptions(std::uint64_t seed,
+                            const std::string& scratch_dir) {
   ScenarioOptions options;
   options.seed = seed;
   options.num_sensors = 3;
@@ -25,7 +27,7 @@ ScenarioOptions SoakOptions(std::uint64_t seed) {
   options.steps = 12;
   options.check_every = 4;
   options.queue_capacity = 32;
-  options.scratch_dir = testing::TempDir();
+  options.scratch_dir = scratch_dir;
 #if defined(SMILER_ENABLE_CHAOS)
   // Chaos build: every cataloged fault point is live.
   options.schedule = DefaultSchedule();
@@ -60,9 +62,11 @@ TEST(ChaosSoakTest, SeedSweepHoldsEveryInvariant) {
   std::uint64_t total_faults = 0;
   std::uint64_t total_ops = 0;
   int total_quarantined = 0;
+  CaseScratchDir scratch;
   for (int i = 0; i < count; ++i) {
     const std::uint64_t seed = first + static_cast<std::uint64_t>(i);
-    ScenarioResult result = ScenarioRunner(SoakOptions(seed)).Run();
+    ScenarioResult result =
+        ScenarioRunner(SoakOptions(seed, scratch.path())).Run();
     if (!result.ok()) ReportFailure(seed, result);
     ASSERT_TRUE(result.status.ok()) << "seed " << seed;
     EXPECT_TRUE(result.violations.empty()) << "seed " << seed;
@@ -91,9 +95,10 @@ TEST(ChaosSoakTest, FailingSeedsReplayBitIdentically) {
   const char* pinned = std::getenv("SMILER_CHAOS_SEED");
   const std::uint64_t base =
       pinned != nullptr ? std::strtoull(pinned, nullptr, 10) : 101;
+  CaseScratchDir scratch;
   for (std::uint64_t seed = base; seed < base + 3; ++seed) {
-    ScenarioResult a = ScenarioRunner(SoakOptions(seed)).Run();
-    ScenarioResult b = ScenarioRunner(SoakOptions(seed)).Run();
+    ScenarioResult a = ScenarioRunner(SoakOptions(seed, scratch.path())).Run();
+    ScenarioResult b = ScenarioRunner(SoakOptions(seed, scratch.path())).Run();
     ASSERT_TRUE(a.status.ok()) << a.status.ToString();
     EXPECT_EQ(a.fingerprint, b.fingerprint) << "seed " << seed;
     EXPECT_EQ(a.faults_fired, b.faults_fired) << "seed " << seed;

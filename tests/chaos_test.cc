@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "case_scratch_dir.h"
 #include "chaos/fault.h"
 #include "chaos/invariants.h"
 #include "chaos/scenario.h"
@@ -250,9 +251,10 @@ TEST_F(ChaosTest, CheckerDetectsCraftedCorruption) {
 TEST_F(ChaosTest, CheckpointRoundTripIsByteStable) {
   simgpu::Device device;
   core::SensorEngine engine = StreamedEngine(&device, 64, 8);
+  CaseScratchDir scratch;
   std::vector<std::string> v;
   EXPECT_EQ(InvariantChecker::CheckCheckpointRoundTrip(
-                {engine.Snapshot()}, testing::TempDir(), &v),
+                {engine.Snapshot()}, scratch.path(), &v),
             0)
       << v.front();
 }
@@ -298,8 +300,9 @@ TEST_F(ChaosTest, StoreResidencyCheckTracksEvictAndRehydrate) {
                                                   core::PredictorKind::kAr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
 
+  CaseScratchDir scratch;
   store::StoreOptions options;
-  options.dir = testing::TempDir() + "/chaos_store_residency";
+  options.dir = scratch.path() + "/store";
   options.budget_bytes = std::numeric_limits<std::size_t>::max();
   auto store_or = store::TieredStateStore::Create(options);
   ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
@@ -337,7 +340,8 @@ TEST_F(ChaosTest, ScenarioReplaysBitIdentically) {
   options.history_points = 64;
   options.steps = 10;
   options.check_every = 5;
-  options.scratch_dir = testing::TempDir();
+  CaseScratchDir scratch;
+  options.scratch_dir = scratch.path();
   // In the default (chaos-off) build only the driver-side ts.anomaly
   // point is live; give it a high rate so the anomaly path is exercised.
   options.schedule = OnePoint("ts.anomaly", 0.3);
@@ -400,7 +404,8 @@ TEST_F(ChaosTest, ScenarioWithStoreSpillReplaysBitIdentically) {
   options.history_points = 64;
   options.steps = 10;
   options.check_every = 5;
-  options.scratch_dir = testing::TempDir();
+  CaseScratchDir scratch;
+  options.scratch_dir = scratch.path();
   // Demote a sensor every other step: the following batch rehydrates it
   // through the quantized cold tier, and the sweeps run in
   // kQuantizedLowerBound mode plus the store-residency agreement check.
@@ -450,7 +455,8 @@ TEST_F(ChaosTest, ScenarioNodeDeferIsBenignAndReplaysBitIdentically) {
   options.history_points = 64;
   options.steps = 10;
   options.check_every = 5;
-  options.scratch_dir = testing::TempDir();
+  CaseScratchDir scratch;
+  options.scratch_dir = scratch.path();
   // Demotions add rehydrate leaf nodes to the chains, so the defer also
   // claims the store-IO node shape.
   options.store_spill_every = 2;

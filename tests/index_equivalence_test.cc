@@ -96,10 +96,37 @@ TEST(IndexEquivalenceTest, StreamedSearchMatchesReferenceScanBitwise) {
   }
 }
 
+TEST(IndexEquivalenceTest, HeapFallbacksOnTinySharedMemoryStayExact) {
+  // A 256-byte arena holds neither the lane-major verify scratch nor the
+  // longest item query, so every verify block runs on heap scratch and
+  // the d = 40 blocks also read the query from global memory.
+  SmilerConfig cfg = SmallConfig();
+  simgpu::Device device(/*memory_budget_bytes=*/6ULL << 30,
+                        /*shared_memory_bytes=*/256, /*pool=*/nullptr,
+                        simgpu::BackendKind::kSimGrid);
+  ASSERT_LT(device.shared_memory_bytes(),
+            dtw::CompressedDtwBatchScratchSize(cfg.rho) * sizeof(double));
+  ASSERT_LT(device.shared_memory_bytes(), cfg.elv.back() * sizeof(double));
+  Rng rng(75);
+  ts::TimeSeries s("t", RandomWalk(&rng, 400));
+  auto idx = SmilerIndex::Build(&device, s, cfg);
+  ASSERT_TRUE(idx.ok());
+
+  SuffixSearchOptions opts;
+  opts.k = 8;
+  for (int step = 0; step < 30; ++step) {
+    auto result = idx->Search(opts);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    ExpectBitwiseEqual(*idx, *result, opts);
+    ASSERT_TRUE(idx->Append(rng.Normal()).ok());
+  }
+}
+
 TEST(IndexEquivalenceTest, AllBoundModesAndKsStayExact) {
   for (LowerBoundMode mode :
        {LowerBoundMode::kLbeq, LowerBoundMode::kLbec, LowerBoundMode::kLben}) {
-    for (int k : {1, 4, 32}) {
+    // k = 6 verifies its seeds as one lane batch plus a scalar tail.
+    for (int k : {1, 4, 6, 32}) {
       simgpu::Device device;
       SmilerConfig cfg = SmallConfig();
       Rng rng(72);
