@@ -18,9 +18,9 @@
 // the ratio and its 6 GiB extrapolation, the resident-bytes +
 // process-RSS curve of both phases, rehydration p50/p99 from
 // store.rehydrate_seconds, and the 9-stage latency attribution
-// (rehydration cost lands in its own `rehydrate` stage — an overlapped
-// IO leaf of the predict graph). scripts/bench_regression.sh distils
-// this into BENCH_capacity.json.
+// (rehydration cost lands in its own `rehydrate` stage, timed at the
+// inline pin). scripts/bench_regression.sh distils this into
+// BENCH_capacity.json.
 
 #include <algorithm>
 #include <atomic>

@@ -268,92 +268,6 @@ int main(int argc, char** argv) {
   }
   gp_block += "\n    }\n  },\n";
 
-  // ---- task-graph vs phase-barrier (GP fleet) ----
-  // The predict path has two executions of the same math: the fleet-wide
-  // dataflow graph (ServerOptions::use_task_graph, the default) and the
-  // phase-barrier loop it replaced. They are bitwise-identical by
-  // contract (task_graph_equivalence_test), so this grid is pure
-  // scheduling: graph vs barrier across shard counts, same GP fleet,
-  // same closed-loop clients. The graph must not regress the
-  // single-shard/single-core cell — overlap is allowed to win, never to
-  // cost.
-  std::string task_graph_block;
-  {
-    const int tg_steps = std::max(2, steps / 10);
-    task_graph_block =
-        "  \"task_graph\": {\n    \"predictor\": \"gp\",\n    \"steps\": " +
-        std::to_string(tg_steps) + ",\n    \"configs\": [";
-    bool first = true;
-    for (int shards : {1, 2, 4}) {
-      for (bool use_graph : {true, false}) {
-        // Best-of-2: each cell is a sub-second GP run, so a single pass
-        // is dominated by scheduler noise; the best repeat is the
-        // scheduling comparison the grid exists to make.
-        double best_tput = 0.0;
-        double best_seconds = 0.0;
-        long best_requests = 0;
-        int effective_shards = shards;
-        for (int rep = 0; rep < 2; ++rep) {
-          ThreadPool tg_pool(2);
-          simgpu::Device tg_device(6ULL << 30, 64ULL << 10, &tg_pool);
-          auto tg_manager = core::MultiSensorManager::Create(
-              &tg_device, gp_histories, cfg, core::PredictorKind::kGp);
-          if (!tg_manager.ok()) return 1;
-          serve::ServerOptions tg_options;
-          tg_options.num_shards = shards;
-          tg_options.queue_capacity = 1024;
-          tg_options.use_task_graph = use_graph;
-          auto tg_server = serve::PredictionServer::Create(
-              std::move(*tg_manager), tg_options);
-          if (!tg_server.ok()) return 1;
-          std::atomic<long> issued{0};
-          const auto t0 = Clock::now();
-          std::vector<std::thread> tg_clients;
-          for (int c = 0; c < num_clients; ++c) {
-            tg_clients.emplace_back([&, c] {
-              for (int step = 0; step < tg_steps; ++step) {
-                for (std::size_t s = static_cast<std::size_t>(c);
-                     s < sensors.size();
-                     s += static_cast<std::size_t>(num_clients)) {
-                  if (!(*tg_server)->Predict(s).ok()) return;
-                  if (!(*tg_server)
-                           ->Observe(s, sensors[s].values()[warmup + step])
-                           .ok())
-                    return;
-                  issued.fetch_add(2);
-                }
-              }
-            });
-          }
-          for (auto& t : tg_clients) t.join();
-          const double tg_seconds = SecondsSince(t0);
-          effective_shards = (*tg_server)->num_shards();
-          (*tg_server)->Shutdown();
-          const double tput =
-              static_cast<double>(issued.load()) / tg_seconds;
-          if (tput > best_tput) {
-            best_tput = tput;
-            best_seconds = tg_seconds;
-            best_requests = issued.load();
-          }
-        }
-        const char* mode = use_graph ? "graph" : "barrier";
-        std::printf(
-            "task_graph  mode=%-7s shards=%d  %8.0f req/s  (%.3fs, best of 2)\n",
-            mode, effective_shards, best_tput, best_seconds);
-        task_graph_block += std::string(first ? "" : ",");
-        first = false;
-        task_graph_block +=
-            std::string("\n      {\"mode\": \"") + mode +
-            "\", \"shards\": " + std::to_string(effective_shards) +
-            ", \"clients\": " + std::to_string(num_clients) +
-            ", \"requests\": " + std::to_string(best_requests) +
-            ", \"throughput_req_per_s\": " + std::to_string(best_tput) + "}";
-      }
-    }
-    task_graph_block += "\n    ]\n  },\n";
-  }
-
   // ---- shard-scaling sweep (--sweep): shards x clients, closed loop ----
   // Fresh AR fleet per cell so no warm state leaks between configs; the
   // scripts/check.sh scaling gate and docs/performance.md read the
@@ -425,7 +339,7 @@ int main(int argc, char** argv) {
       "  \"backend\": \"" + backend_name + "\",\n" +
       "  \"sensors\": " + std::to_string(scale.sensors) + ",\n" +
       "  \"steps\": " + std::to_string(steps) + ",\n" + attribution +
-      gp_block + task_graph_block + sweep_block +
+      gp_block + sweep_block +
       "  \"serve\": {\n" +
       "    \"num_shards\": " + std::to_string((*server)->num_shards()) +
       ",\n" +

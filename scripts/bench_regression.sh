@@ -34,8 +34,8 @@
 # demonstrated capacity ratio (fleet bytes / serving-phase resident
 # high-water), its 6 GiB extrapolation, the resident-bytes/RSS curve,
 # rehydration p50/p99, and the 9-stage attribution (rehydration is its
-# own `rehydrate` stage — an overlapped IO leaf of the predict graph, no
-# longer folded into batch_form).
+# own `rehydrate` stage, timed at the inline pin, no longer folded into
+# batch_form).
 #
 #   scripts/bench_regression.sh            # writes ./BENCH_*.json
 #   scripts/bench_regression.sh /tmp/out   # writes them under /tmp/out

@@ -41,7 +41,7 @@ if [[ "$MODE" == "chaos" ]]; then
   # Every cataloged fault point live at its default probability; any
   # invariant violation prints a SMILER_CHAOS_SEED=<seed> repro line.
   ctest --test-dir build-chaos-tsan -R 'ChaosTest|ChaosSoakTest' \
-    --output-on-failure
+    --no-tests=error --output-on-failure
   echo "== chaos checks passed =="
   exit 0
 fi
@@ -63,7 +63,7 @@ if [[ "$MODE" == "capacity" ]]; then
   echo "== store equivalence + quantization + chaos under ASan =="
   ctest --test-dir build-capacity-asan \
     -R 'StoreEquivalenceTest|StoreBudgetTest|StoreQuantizeTest|ChaosTest' \
-    --output-on-failure
+    --no-tests=error --output-on-failure
   echo "== capacity checks passed =="
   exit 0
 fi
@@ -120,8 +120,8 @@ echo "== backend equivalence (tier-1 index/GP/DTW suites, SMILER_BACKEND=native)
 # execution path. Runs in fast mode too — backend drift is a correctness
 # bug, not a stress-only concern.
 SMILER_BACKEND=native ctest --test-dir build \
-  -R 'IndexTest|IndexEquivalenceTest|GpTest|DtwTest|DtwPropertyTest|BackendSelectionTest|BackendEquivalenceTest|BackendExactnessContractTest|TaskGraphEquivalenceTest' \
-  --output-on-failure -j "$(nproc)" | tail -n 3
+  -R 'IndexTest|IndexEquivalenceTest|GpTest|DtwTest|DtwPropertyTest|BackendSelectionTest|BackendEquivalenceTest|BackendExactnessContractTest|FleetEquivalenceTest' \
+  --no-tests=error --output-on-failure -j "$(nproc)" | tail -n 3
 
 echo "== benchmark self-check (perfbench workloads at tiny scale) =="
 # Serves every perfbench workload at a tiny scale, untraced and traced,
@@ -152,7 +152,7 @@ cmake --build build-tsan -j \
   >/dev/null
 ctest --test-dir build-tsan \
   -R 'ObsConcurrencyTest|IndexEquivalenceTest|IndexStressTest' \
-  --output-on-failure
+  --no-tests=error --output-on-failure
 
 echo "== serve soak + SPSC lanes under ThreadSanitizer =="
 # The serving layer's racy surface: concurrent clients against the
@@ -162,17 +162,15 @@ echo "== serve soak + SPSC lanes under ThreadSanitizer =="
 # dedicated TSan target for the ring cursors and lane publication.
 # store_equivalence_test rides along for its concurrent-clients-under-
 # tiny-budget case: shard workers pinning/unpinning and the budget sweep
-# racing client threads is exactly the store's racy surface. The task
-# graph suites join the pass: the executor's ready queue is drained by
-# the caller and pool helpers concurrently, and the equivalence suite's
-# burst traffic drives the fleet-wide graph (shared gram join, rehydrate
-# leaf nodes) under that contention.
+# racing client threads is exactly the store's racy surface.
+# fleet_equivalence_test's burst traffic drives multi-sensor fleets (one
+# fused gram launch, inline rehydrating pins) while clients enqueue.
 cmake --build build-tsan -j \
   --target serve_soak_test serve_spsc_test store_equivalence_test \
-  task_graph_test task_graph_equivalence_test >/dev/null
+  fleet_equivalence_test >/dev/null
 ctest --test-dir build-tsan \
-  -R 'ServeSoakTest|SpscRingTest|SpscRingStressTest|SpscLaneTest|StoreEquivalenceTest|TaskGraphTest|TaskGraphPropertyTest|TaskGraphStressTest|LaunchGraphTest|TaskGraphEquivalenceTest' \
-  --output-on-failure
+  -R 'ServeSoakTest|SpscRingTest|SpscRingStressTest|SpscLaneTest|StoreEquivalenceTest|FleetEquivalenceTest' \
+  --no-tests=error --output-on-failure
 
 echo "== tracing overhead gate (smoke Fig-7 bench, on vs off) =="
 # Request-scoped tracing must stay cheap enough to leave on in
@@ -251,6 +249,7 @@ cmake -B build-asan -S . \
   -DSMILER_BUILD_BENCHMARKS=OFF \
   -DSMILER_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j --target la_property_test >/dev/null
-ctest --test-dir build-asan -R 'LaPropertyTest' --output-on-failure
+ctest --test-dir build-asan -R 'LaPropertyTest' --no-tests=error \
+  --output-on-failure
 
 echo "== all checks passed =="

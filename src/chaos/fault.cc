@@ -163,11 +163,6 @@ const std::vector<FaultPointInfo>& KnownFaultPoints() {
            "TieredStateStore::Pin sees a truncated segment read (half the "
            "mapped bytes); must fail the Pin with a Status error, leaving "
            "the cold state intact for a retry on the next batch"},
-          {"graph.node_defer", "src/common",
-           "the TaskGraph executor defers the claimed ready node to the "
-           "back of the queue and runs another ready node instead — an "
-           "adversarial but edge-respecting schedule; results and the "
-           "scenario fingerprint must stay bit-identical"},
       };
   return *points;
 }

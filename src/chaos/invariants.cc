@@ -315,8 +315,8 @@ int InvariantChecker::CheckEngineSnapshot(const std::string& label,
       report.Violate("pending[" + Str(static_cast<long>(p)) + "] target " +
                      Str(pf.target_time) + " outside (now, now + horizon]");
     }
-    if (p > 0 && pf.target_time < prev_target) {
-      report.Violate("pending targets not non-decreasing");
+    if (p > 0 && pf.target_time <= prev_target) {
+      report.Violate("pending targets not strictly increasing");
     }
     prev_target = pf.target_time;
     if (pf.grid.rows != static_cast<int>(cfg.ekv.size()) ||

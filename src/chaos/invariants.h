@@ -55,9 +55,9 @@ class InvariantChecker {
   ///  - ensemble state: grid shape, finite non-negative weights, finite
   ///    calibration EWMAs
   ///  - GP kernel cache: one optional per cell, finite log-hyperparameters
-  ///  - pending forecasts: strictly future targets, non-decreasing target
-  ///    times, grid shapes match the config, finite means and
-  ///    non-negative finite variances
+  ///  - pending forecasts: strictly future targets, strictly increasing
+  ///    target times (one forecast per target), grid shapes match the
+  ///    config, finite means and non-negative finite variances
   static int CheckEngineSnapshot(const std::string& label,
                                  const core::EngineSnapshot& snapshot,
                                  std::vector<std::string>* out,

@@ -464,21 +464,6 @@ ScenarioResult ScenarioRunner::Run() {
           " after drain (expected 0)");
     }
   }
-  // Task-graph executor conservation: ready/running/done are level gauges
-  // (+1 when a node becomes ready / starts / completes, settled back down
-  // by the executor), so after every predict graph has drained all three
-  // must read exactly 0 — residue means a node was claimed and never
-  // finished, or finished without settling its bookkeeping.
-  for (const char* gauge :
-       {"serve.graph.ready_nodes", "serve.graph.running_nodes",
-        "serve.graph.done_nodes"}) {
-    const double level = obs::Registry::Global().GetGauge(gauge).value();
-    if (level != 0.0) {
-      result.violations.push_back("conservation: " + std::string(gauge) +
-                                  " gauge reads " + std::to_string(level) +
-                                  " after drain (expected 0)");
-    }
-  }
 
   // Fingerprint: op log (already mixed in issue order) + the sorted
   // trigger log + violations + outcome histogram.
@@ -489,9 +474,6 @@ ScenarioResult ScenarioRunner::Run() {
               return a.hit < b.hit;
             });
   result.faults_fired = result.trigger_log.size();
-  // Everything mixed so far is client-observable (ops, outcomes,
-  // prediction bits): snapshot it before the trigger log folds in.
-  result.value_fingerprint = digest.value();
   digest.MixU64(registry.Fingerprint());
   for (const std::string& v : result.violations) digest.MixStr(v);
   for (const auto& [code, count] : result.status_counts) {

@@ -87,12 +87,6 @@ struct ScenarioResult {
   /// Order-independent digest of ops, outcomes, prediction bits, trigger
   /// log, and violations. Equal seeds => equal fingerprints.
   std::uint64_t fingerprint = 0;
-  /// Client-observable digest only: ops, outcomes, and prediction bits —
-  /// `fingerprint` minus the trigger log / violations tail. A benign
-  /// fault (graph.node_defer's adversarial-but-edge-respecting reorder)
-  /// changes the trigger log and so `fingerprint`, but must leave this
-  /// one bit-identical to an unperturbed run.
-  std::uint64_t value_fingerprint = 0;
   /// Client operations issued (predicts + observes + checkpoint ops).
   std::uint64_t ops = 0;
   std::uint64_t faults_fired = 0;

@@ -279,8 +279,17 @@ Result<predictors::Prediction> SensorEngine::FinishPredict(
   const predictors::Prediction raw = ensemble_.CombineRaw(pending.grid);
   predictors::Prediction combined = raw;
   combined.variance *= ensemble_.variance_scale();
-  pending_.push_back(PendingForecast{now() + cfg_.horizon,
-                                     std::move(pending.grid), raw});
+  // Targets never decrease, so a repeated Predict before the Observe that
+  // resolves it targets the back entry: the latest forecast replaces it
+  // rather than queueing a second weight update for the same observation.
+  PendingForecast forecast{now() + cfg_.horizon, std::move(pending.grid),
+                           raw};
+  if (!pending_.empty() &&
+      pending_.back().target_time == forecast.target_time) {
+    pending_.back() = std::move(forecast);
+  } else {
+    pending_.push_back(std::move(forecast));
+  }
 
   // The Prediction Step's cost spans all of its phases: the
   // Gram/training-set assembly and cell fits (wherever they ran) plus the

@@ -139,14 +139,13 @@ class SensorEngine {
   /// until FinishPredict. Exactly BeginPredictLb + FinishPredictVerify.
   Result<PendingPredict> BeginPredict();
 
-  /// Phase 1a: the Search Step's group-level lower-bound pass alone
-  /// (the lb_filter graph node). The task-graph serve pipeline splits
-  /// here so sensor A's DTW verify overlaps sensor B's lower bounds.
+  /// Phase 1a: the Search Step's group-level lower-bound pass alone, so
+  /// a caller can time it apart from the DTW verify that follows.
   Result<PendingPredict> BeginPredictLb();
 
   /// Phase 1b: DTW verify fan-out, awake-cell collection, and per-column
-  /// training-input assembly (the dtw_verify graph node). Mutates the
-  /// index's threshold seeds — one in-flight phase per engine at a time.
+  /// training-input assembly. Mutates the index's threshold seeds — one
+  /// in-flight phase per engine at a time.
   Status FinishPredictVerify(PendingPredict* pending);
 
   /// Computes every pending column Gram with this engine's own device
@@ -156,16 +155,17 @@ class SensorEngine {
   void ComputeGrams(PendingPredict* pending);
 
   /// Phase 2a: fits the awake cells against the (now computed) Grams into
-  /// `pending->grid` — the cholesky graph node. Computes the Grams solo
-  /// first if no one has. Idempotent; FinishPredict runs it itself when
-  /// the caller has not.
+  /// `pending->grid`. Computes the Grams solo first if no one has.
+  /// Idempotent; FinishPredict runs it itself when the caller has not.
   Status FitCells(PendingPredict* pending);
 
   /// Phase 2b: combines the ensemble over the fitted grid and records the
-  /// pending forecast (runs FitCells first if the caller has not). The
-  /// prediction is bitwise-identical to a monolithic Predict() whenever
-  /// the supplied Grams are (both backends and the batched launch
-  /// guarantee that).
+  /// pending forecast (runs FitCells first if the caller has not). A
+  /// forecast for the same target time as the latest pending one
+  /// replaces it, so at most one forecast per target time awaits its
+  /// observation. The prediction is bitwise-identical to a monolithic
+  /// Predict() whenever the supplied Grams are (both backends and the
+  /// batched launch guarantee that).
   Result<predictors::Prediction> FinishPredict(PendingPredict pending,
                                                EngineStats* stats = nullptr);
 
@@ -190,9 +190,6 @@ class SensorEngine {
   /// The device this engine launches kernels on (shared by the fleet);
   /// batch callers route fused launches through it.
   simgpu::Device* device() const { return index_.device(); }
-  /// Which abstract predictor this engine runs; batch callers use it to
-  /// decide whether the engine participates in fused Gram launches.
-  PredictorKind kind() const { return kind_; }
   const SmilerConfig& config() const { return cfg_; }
   const predictors::Ensemble& ensemble() const { return ensemble_; }
   const index::SmilerIndex& index() const { return index_; }
@@ -214,6 +211,8 @@ class SensorEngine {
   index::SmilerIndex index_;
   predictors::Ensemble ensemble_;
   std::vector<predictors::GpCellPredictor> gp_cells_;
+  /// Unresolved forecasts, one per target time, targets strictly
+  /// increasing (at most config.horizon entries).
   std::deque<PendingForecast> pending_;
 };
 

@@ -160,9 +160,7 @@ class SmilerIndex {
   /// group-level lower-bound pass (the lb_filter stage). The returned
   /// state feeds FinishSearch; Search() is exactly BeginSearch +
   /// FinishSearch, so a split invocation is bitwise-identical to the
-  /// monolithic one. The task-graph predict pipeline runs the two
-  /// phases as separate nodes so one sensor's verify overlaps another's
-  /// lower bounds.
+  /// monolithic one (SensorEngine::BeginPredictLb runs this phase alone).
   Result<PendingSearch> BeginSearch(const SuffixSearchOptions& options);
 
   /// Phase 2: the per-item filter → verify → select fan-out (the

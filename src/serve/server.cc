@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "chaos/fault.h"
-#include "common/task_graph.h"
 #include "common/thread_pool.h"
 #include "gp/kernel.h"
 #include "obs/stats_server.h"
@@ -451,26 +450,54 @@ void PredictionServer::ShardLoop(Shard* shard) {
   }
 }
 
+namespace {
+
+/// Pins \p sensor at its first engine touch of the batch, attributing the
+/// IO to the rehydrate stage; records the outcome in \p pinned /
+/// \p pin_failed. Returns OK when the engine is resident (or no store is
+/// attached), else the Status of this batch's failed pin.
+Status EnsureResident(store::TieredStateStore* store, std::size_t sensor,
+                      std::vector<std::size_t>* pinned,
+                      std::unordered_map<std::size_t, Status>* pin_failed) {
+  if (store == nullptr) return Status::OK();
+  auto failed = pin_failed->find(sensor);
+  if (failed != pin_failed->end()) return failed->second;
+  if (std::find(pinned->begin(), pinned->end(), sensor) != pinned->end()) {
+    return Status::OK();
+  }
+  Status st;
+  {
+    obs::StageScope rehydrate(obs::Stage::kRehydrate);
+    SMILER_TRACE_SPAN("serve.rehydrate");
+    st = store->Pin(sensor);
+  }
+  if (st.ok()) {
+    pinned->push_back(sensor);
+  } else {
+    pin_failed->emplace(sensor, st);
+  }
+  return st;
+}
+
+}  // namespace
+
 std::size_t PredictionServer::ProcessBatch(Shard* shard,
                                            std::vector<Request>* batch,
                                            std::int64_t claim_us) {
   // Coalescing cache: sensor -> response of the batch's previous Predict
   // of that sensor. Valid only while the engine state is unchanged, so an
-  // Observe for the sensor invalidates its entry. Besides saving simgpu
-  // work, this keeps back-to-back Predicts from pushing duplicate pending
-  // forecasts into the engine (which would double the ensemble's weight
-  // update when the target observation arrives).
+  // Observe for the sensor invalidates its entry. Every co-resident
+  // client of a sensor shares one engine pass (one set of device
+  // launches).
   PredictCache predict_cache;
   std::size_t sheds = 0;
-  // Residency: each distinct data-plane sensor is pinned at its FIRST
-  // engine touch of the batch — as a leaf IO node of a predict segment's
-  // task graph (overlapping other sensors' compute) or inline right
-  // before an Observe — so no request below ever touches a non-resident
-  // engine, and rehydration cost lands in the dedicated `rehydrate`
-  // stage of the latency taxonomy instead of hiding inside batch_form.
-  // A failed pin (e.g. the store.rehydrate_read_short fault) answers
-  // that sensor's requests with the Status; the cold state is intact and
-  // the next batch retries.
+  // Residency: each distinct data-plane sensor is pinned inline at its
+  // FIRST engine touch of the batch (EnsureResident), so no request below
+  // ever touches a non-resident engine, and rehydration cost lands in the
+  // dedicated `rehydrate` stage of the latency taxonomy instead of hiding
+  // inside batch_form. A failed pin (e.g. the store.rehydrate_read_short
+  // fault) answers that sensor's requests with the Status; the cold state
+  // is intact and the next batch retries.
   store::TieredStateStore* store = store_.load(std::memory_order_acquire);
   std::vector<std::size_t> pinned;
   std::unordered_map<std::size_t, Status> pin_failed;
@@ -500,7 +527,8 @@ std::size_t PredictionServer::ProcessBatch(Shard* shard,
     // The shard worker is the request's owner: it drives the exclusive
     // stage clock that tiles the rest of the request.
     obs::RequestScope trace_scope(req.ctx, /*owner=*/true);
-    // Shed expired requests before paying for any engine work.
+    // Shed expired requests before paying for any engine work (or for
+    // rehydration they will not use).
     if (req.deadline != kNoDeadline && Clock::now() > req.deadline) {
       ++sheds;
       DeadlineExpiredCounter().Increment();
@@ -510,32 +538,9 @@ std::size_t PredictionServer::ProcessBatch(Shard* shard,
       ++i;
       continue;
     }
-    if (store != nullptr && pin_failed.count(req.sensor) == 0 &&
-        std::find(pinned.begin(), pinned.end(), req.sensor) == pinned.end()) {
-      // Lazy residency pin, attributed to this request's rehydrate stage
-      // (the shed check above already ran: expired requests never pay
-      // for rehydration they will not use).
-      Status st;
-      {
-        obs::StageScope rehydrate(obs::Stage::kRehydrate);
-        SMILER_TRACE_SPAN("serve.rehydrate");
-        st = store->Pin(req.sensor);
-      }
-      if (st.ok()) {
-        pinned.push_back(req.sensor);
-      } else {
-        pin_failed.emplace(req.sensor, std::move(st));
-      }
-    }
-    auto failed_pin = pin_failed.find(req.sensor);
-    if (failed_pin != pin_failed.end()) {
-      Respond(shard, &req, {failed_pin->second, predictors::Prediction{}});
-      ++i;
-      continue;
-    }
-    predict_cache.erase(req.sensor);
-    Status st;
-    {
+    Status st = EnsureResident(store, req.sensor, &pinned, &pin_failed);
+    if (st.ok()) {
+      predict_cache.erase(req.sensor);
       obs::StageScope forecast(obs::Stage::kForecast);
       SMILER_TRACE_SPAN("serve.observe");
       st = manager_.engine(req.sensor).Observe(req.value);
@@ -559,18 +564,10 @@ std::size_t PredictionServer::ExecutePredictSegment(
     std::int64_t claim_us, PredictCache* cache, std::size_t* sheds,
     store::TieredStateStore* store, std::vector<std::size_t>* pinned,
     std::unordered_map<std::size_t, Status>* pin_failed) {
-  // Maximal run of Predict requests. With coalescing off a repeated
-  // sensor ends the segment first — each repeat must be its own engine
-  // pass, in order, exactly like the sequential path.
-  std::vector<std::size_t> seen;
+  // Maximal run of Predict requests.
   std::size_t end = begin;
   while (end < batch->size() &&
          (*batch)[end].kind == Request::Kind::kPredict) {
-    const std::size_t sensor = (*batch)[end].sensor;
-    const bool dup =
-        std::find(seen.begin(), seen.end(), sensor) != seen.end();
-    if (dup && !options_.coalesce_predicts) break;
-    if (!dup) seen.push_back(sensor);
     ++end;
   }
   // Pre-scan: the distinct sensors that actually need an engine pass — at
@@ -606,144 +603,57 @@ std::size_t PredictionServer::ExecutePredictSegment(
                predictors::Prediction{}});
       continue;
     }
-    {
-      auto failed = pin_failed->find(req.sensor);
-      if (failed != pin_failed->end()) {
-        // Residency pin failed (transient rehydrate fault): answer with
-        // the pin Status without touching the non-resident engine.
-        Respond(shard, &req, {failed->second, predictors::Prediction{}});
-        continue;
-      }
+    auto failed = pin_failed->find(req.sensor);
+    if (failed != pin_failed->end()) {
+      // Residency pin failed (transient rehydrate fault): answer with the
+      // pin Status without touching the non-resident engine.
+      Respond(shard, &req, {failed->second, predictors::Prediction{}});
+      continue;
     }
     if (!computed) {
       // The whole segment's engine passes run here, under the FIRST live
       // request's owner scope: later requests' share of the fused work
       // lands in their batch_form stage — the same "honestly includes
-      // the processing time of requests ahead" attribution as the
-      // sequential path, so stage sums still tile end-to-end latency.
+      // the processing time of requests ahead" attribution as an
+      // Observe, so stage sums still tile end-to-end latency.
       computed = true;
       obs::StageScope forecast(obs::Stage::kForecast);
       SMILER_TRACE_SPAN("serve.predict");
       ExecutePredictFleet(fresh, &results, store, pinned, pin_failed);
     }
-    Response response;
     auto cached = cache->find(req.sensor);
     if (cached != cache->end()) {
       CoalescedCounter().Increment();
-      response = cached->second;
-    } else {
-      auto it = results.find(req.sensor);
-      if (it != results.end()) {
-        response = it->second;
-        results.erase(it);
-      } else {
-        // The pre-scan skipped this sensor (its earlier requests were all
-        // expired at scan time, or its pin failed inside the fleet just
-        // now) but this request is live: re-check residency, then a solo
-        // engine pass.
-        Status resident = Status::OK();
-        auto late = pin_failed->find(req.sensor);
-        if (late != pin_failed->end()) {
-          resident = late->second;
-        } else if (store != nullptr &&
-                   std::find(pinned->begin(), pinned->end(), req.sensor) ==
-                       pinned->end()) {
-          {
-            obs::StageScope rehydrate(obs::Stage::kRehydrate);
-            SMILER_TRACE_SPAN("serve.rehydrate");
-            resident = store->Pin(req.sensor);
-          }
-          if (resident.ok()) {
-            pinned->push_back(req.sensor);
-          } else {
-            pin_failed->emplace(req.sensor, resident);
-          }
-        }
-        if (!resident.ok()) {
-          response = {std::move(resident), predictors::Prediction{}};
-        } else {
-          obs::StageScope forecast(obs::Stage::kForecast);
-          SMILER_TRACE_SPAN("serve.predict");
-          auto pred = manager_.engine(req.sensor).Predict();
-          if (pred.ok()) {
-            response = {Status::OK(), *pred};
-          } else {
-            response = {pred.status(), predictors::Prediction{}};
-          }
-        }
-      }
-      if (options_.coalesce_predicts) (*cache)[req.sensor] = response;
-      Respond(shard, &req, response);
+      Respond(shard, &req, cached->second);
       continue;
     }
-    Respond(shard, &req, response);
+    auto it = results.find(req.sensor);
+    if (it == results.end()) {
+      // Unreachable: a live, uncached request whose pin has not failed
+      // was live, uncached and unfailed at the pre-scan too (deadlines
+      // only expire; the cache and pin_failed only grow within a
+      // segment), so its sensor is in `fresh` and the fleet wrote its
+      // result. Never answer with a default-OK response.
+      Respond(shard, &req,
+              {Status::Internal("predict fleet produced no result"),
+               predictors::Prediction{}});
+      continue;
+    }
+    // The sensor's later requests in this segment hit this cache entry.
+    (*cache)[req.sensor] = it->second;
+    Respond(shard, &req, std::move(it->second));
   }
   return end;
 }
-
-namespace {
-
-/// Pins \p sensor if not yet resident, attributing the IO to the
-/// rehydrate stage; records the outcome in \p pinned / \p pin_failed.
-/// Returns OK when the engine is resident (or no store is attached).
-Status EnsureResident(store::TieredStateStore* store, std::size_t sensor,
-                      std::vector<std::size_t>* pinned,
-                      std::unordered_map<std::size_t, Status>* pin_failed) {
-  if (store == nullptr) return Status::OK();
-  auto failed = pin_failed->find(sensor);
-  if (failed != pin_failed->end()) return failed->second;
-  if (std::find(pinned->begin(), pinned->end(), sensor) != pinned->end()) {
-    return Status::OK();
-  }
-  Status st;
-  {
-    obs::StageScope rehydrate(obs::Stage::kRehydrate);
-    SMILER_TRACE_SPAN("serve.rehydrate");
-    st = store->Pin(sensor);
-  }
-  if (st.ok()) {
-    pinned->push_back(sensor);
-  } else {
-    pin_failed->emplace(sensor, st);
-  }
-  return st;
-}
-
-}  // namespace
 
 void PredictionServer::ExecutePredictFleet(
     const std::vector<std::size_t>& sensors,
     std::unordered_map<std::size_t, Response>* results,
     store::TieredStateStore* store, std::vector<std::size_t>* pinned,
     std::unordered_map<std::size_t, Status>* pin_failed) {
-  if (sensors.empty()) return;
-  if (options_.use_task_graph) {
-    // Every fleet size takes the graph: a solo sensor is one linear
-    // chain (deterministic node count — what the chaos node_defer
-    // replay relies on), several sensors share the gram join node.
-    ExecutePredictFleetGraph(sensors, results, store, pinned, pin_failed);
-    return;
-  }
-  if (sensors.size() == 1) {
-    // Solo sensor: the monolithic path (identical by construction to
-    // BeginPredict + ComputeGrams + FinishPredict).
-    const std::size_t s = sensors.front();
-    const Status resident = EnsureResident(store, s, pinned, pin_failed);
-    if (!resident.ok()) {
-      (*results)[s] = {resident, predictors::Prediction{}};
-      return;
-    }
-    auto pred = manager_.engine(s).Predict();
-    if (pred.ok()) {
-      (*results)[s] = {Status::OK(), *pred};
-    } else {
-      (*results)[s] = {pred.status(), predictors::Prediction{}};
-    }
-    return;
-  }
-  // Phase-barrier path (use_task_graph = false): every sensor finishes a
-  // phase before any sensor starts the next. Kept as the bench baseline
-  // the task graph is measured against.
+  // Phases, for one sensor as for many: every sensor runs its Search Step
+  // before the fused Gram launch, and every Gram is in before any sensor
+  // fits its cells and combines.
   static obs::Counter& gram_columns =
       obs::Registry::Global().GetCounter("engine.gram_columns");
   struct Begun {
@@ -785,16 +695,16 @@ void PredictionServer::ExecutePredictFleet(
     if (st.ok()) {
       GramLaunchesCounter().Increment();
     } else {
-      // Same degradation contract as the solo path: a failed launch
-      // (e.g. chaos injection) falls back to the host function per job,
-      // which is bitwise-identical to the device result.
+      // Same degradation contract as the engine's own Grams: a failed
+      // launch (e.g. chaos injection) falls back to the host function per
+      // job, which is bitwise-identical to the device result.
       for (gp::GramBatchJob& job : jobs) {
         *job.out = gp::PairwiseSquaredDistances(*job.x);
       }
     }
     gram_columns.Increment(jobs.size());
     // Attribute the fused launch to the engines' gram clocks evenly so
-    // engine.predict_seconds stays comparable with the solo path.
+    // engine.predict_seconds stays comparable with a solo Predict().
     const double gram_share =
         Seconds(Clock::now() - gram_start) / static_cast<double>(begun.size());
     for (Begun& b : begun) b.pending.gram_seconds += gram_share;
@@ -806,173 +716,6 @@ void PredictionServer::ExecutePredictFleet(
       (*results)[b.sensor] = {Status::OK(), *pred};
     } else {
       (*results)[b.sensor] = {pred.status(), predictors::Prediction{}};
-    }
-  }
-}
-
-void PredictionServer::ExecutePredictFleetGraph(
-    const std::vector<std::size_t>& sensors,
-    std::unordered_map<std::size_t, Response>* results,
-    store::TieredStateStore* store, std::vector<std::size_t>* pinned,
-    std::unordered_map<std::size_t, Status>* pin_failed) {
-  static obs::Counter& gram_columns =
-      obs::Registry::Global().GetCounter("engine.gram_columns");
-  // Per-sensor chain state. Each node records its outcome here and
-  // returns OK to the executor: graph-level poisoning would drag every
-  // chain down through the shared gram join node, while the serve
-  // contract is per-sensor Status isolation — so nodes guard on their
-  // slot's accumulated Status instead.
-  struct Slot {
-    std::size_t sensor = 0;
-    bool needs_pin = false;
-    Status pin_status;
-    Status status;
-    core::PendingPredict pending;
-    predictors::Prediction value;
-    bool finished = false;
-  };
-  std::vector<Slot> slots(sensors.size());
-  // The gram join exists unless the fleet is provably all-AR: a cold
-  // (non-resident) sensor's kind is unknown until it rehydrates, and a
-  // join an AR chain flows through is merely an ordering point, never a
-  // wrong answer.
-  bool maybe_gp = false;
-  for (std::size_t s : sensors) {
-    if (!manager_.resident(s) ||
-        manager_.engine(s).kind() == core::PredictorKind::kGp) {
-      maybe_gp = true;
-      break;
-    }
-  }
-  TaskGraph graph(TaskGraph::Options{"serve.graph"});
-  std::vector<TaskGraph::NodeId> verify_ids(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    Slot* slot = &slots[i];
-    slot->sensor = sensors[i];
-    slot->needs_pin =
-        store != nullptr &&
-        std::find(pinned->begin(), pinned->end(), slot->sensor) ==
-            pinned->end();
-    const std::string tag = std::to_string(slot->sensor);
-    TaskGraph::NodeId prev = 0;
-    bool has_prev = false;
-    if (slot->needs_pin) {
-      // Leaf IO node: rehydration overlaps other sensors' compute
-      // instead of blocking batch formation.
-      prev = graph.AddNode("rehydrate:" + tag, [this, slot, store] {
-        obs::StageScope stage(obs::Stage::kRehydrate);
-        SMILER_TRACE_SPAN("serve.rehydrate");
-        slot->pin_status = store->Pin(slot->sensor);
-        if (!slot->pin_status.ok()) slot->status = slot->pin_status;
-        return Status::OK();
-      });
-      has_prev = true;
-    }
-    const TaskGraph::NodeId lb = graph.AddNode("lb_filter:" + tag, [this,
-                                                                    slot] {
-      if (!slot->status.ok()) return Status::OK();
-      auto pending = manager_.engine(slot->sensor).BeginPredictLb();
-      if (pending.ok()) {
-        slot->pending = std::move(*pending);
-      } else {
-        slot->status = pending.status();
-      }
-      return Status::OK();
-    });
-    if (has_prev) (void)graph.AddEdge(prev, lb);
-    verify_ids[i] = graph.AddNode("dtw_verify:" + tag, [this, slot] {
-      if (!slot->status.ok()) return Status::OK();
-      slot->status =
-          manager_.engine(slot->sensor).FinishPredictVerify(&slot->pending);
-      return Status::OK();
-    });
-    (void)graph.AddEdge(lb, verify_ids[i]);
-  }
-  TaskGraph::NodeId join = 0;
-  if (maybe_gp) {
-    // The PR 8 fused cross-sensor Gram launch as a join node: one
-    // "gp.gram_batch" launch serves every surviving chain's columns.
-    join = graph.AddNode("gram_batch", [this, &slots] {
-      std::vector<gp::GramBatchJob> jobs;
-      std::vector<Slot*> live;
-      for (Slot& slot : slots) {
-        if (!slot.status.ok()) continue;
-        live.push_back(&slot);
-        for (core::PendingPredict::GramColumn& column : slot.pending.columns) {
-          if (column.x.rows() == 0) continue;
-          jobs.push_back(gp::GramBatchJob{&column.x, &column.gram});
-        }
-      }
-      for (Slot* slot : live) slot->pending.grams_ready = true;
-      if (jobs.empty()) return Status::OK();
-      obs::StageScope gram_stage(obs::Stage::kGram);
-      SMILER_TRACE_SPAN("serve.gram_batch");
-      const auto gram_start = Clock::now();
-      simgpu::Device* device = manager_.engine(live.front()->sensor).device();
-      const Status st = gp::PairwiseSquaredDistancesOnDeviceBatch(device, jobs);
-      if (st.ok()) {
-        GramLaunchesCounter().Increment();
-      } else {
-        // Same degradation contract as the solo path: a failed launch
-        // falls back to the host function per job (bitwise-identical).
-        for (gp::GramBatchJob& job : jobs) {
-          *job.out = gp::PairwiseSquaredDistances(*job.x);
-        }
-      }
-      gram_columns.Increment(jobs.size());
-      const double gram_share = Seconds(Clock::now() - gram_start) /
-                                static_cast<double>(live.size());
-      for (Slot* slot : live) slot->pending.gram_seconds += gram_share;
-      return Status::OK();
-    });
-    for (TaskGraph::NodeId v : verify_ids) (void)graph.AddEdge(v, join);
-  }
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    Slot* slot = &slots[i];
-    const std::string tag = std::to_string(slot->sensor);
-    const TaskGraph::NodeId fit = graph.AddNode("cholesky:" + tag, [this,
-                                                                    slot] {
-      if (!slot->status.ok()) return Status::OK();
-      slot->status = manager_.engine(slot->sensor).FitCells(&slot->pending);
-      return Status::OK();
-    });
-    (void)graph.AddEdge(maybe_gp ? join : verify_ids[i], fit);
-    const TaskGraph::NodeId finish = graph.AddNode("forecast:" + tag, [this,
-                                                                       slot] {
-      if (!slot->status.ok()) return Status::OK();
-      auto pred =
-          manager_.engine(slot->sensor).FinishPredict(std::move(slot->pending));
-      if (pred.ok()) {
-        slot->value = *pred;
-        slot->finished = true;
-      } else {
-        slot->status = pred.status();
-      }
-      return Status::OK();
-    });
-    (void)graph.AddEdge(fit, finish);
-  }
-  const Status run_status = graph.Run();
-  for (Slot& slot : slots) {
-    if (slot.needs_pin) {
-      if (slot.pin_status.ok()) {
-        pinned->push_back(slot.sensor);
-      } else {
-        pin_failed->emplace(slot.sensor, slot.pin_status);
-      }
-    }
-    Status st = slot.status;
-    if (st.ok() && !slot.finished) {
-      // Unreachable when nodes self-report, but never answer a request
-      // with a default-OK status and a default prediction.
-      st = run_status.ok()
-               ? Status::Internal("prediction graph produced no result")
-               : run_status;
-    }
-    if (st.ok()) {
-      (*results)[slot.sensor] = {Status::OK(), slot.value};
-    } else {
-      (*results)[slot.sensor] = {std::move(st), predictors::Prediction{}};
     }
   }
 }

@@ -47,21 +47,6 @@ struct ServerOptions {
   /// immediately with kResourceExhausted (admission control) — the
   /// server sheds load instead of buffering unboundedly or blocking.
   std::size_t queue_capacity = 256;
-  /// Micro-batching: when a shard drains a batch, Predict requests for
-  /// a sensor whose engine state has not changed since the batch's
-  /// previous Predict of that sensor share one engine pass (one set of
-  /// simgpu launches serves every co-resident client).
-  bool coalesce_predicts = true;
-  /// Execute multi-sensor Predict segments as a dataflow task graph
-  /// (TaskGraph over the process pool): per-sensor stage chains
-  /// rehydrate -> lb_filter -> dtw_verify -> cholesky -> forecast, with
-  /// the cross-sensor fused Gram launch as a join node between verify and
-  /// cholesky, so one sensor's DTW verify overlaps another's lower
-  /// bounds and tiered-store rehydration IO overlaps warm sensors'
-  /// compute. Predictions are bitwise-identical to the phase-barrier
-  /// path (task_graph_equivalence_test pins that); disable to fall back
-  /// to barriered phases (the bench's comparison baseline).
-  bool use_task_graph = true;
 };
 
 /// \brief Outcome of one request. `prediction` is meaningful only for
@@ -82,12 +67,13 @@ struct Response {
 /// a shard-wide reservation counter enforces `queue_capacity` across the
 /// lanes. Each shard's single worker thread drains the lanes into
 /// near-FIFO micro-batches (merged by enqueue time) whose size adapts to
-/// the observed backlog, and executes each multi-sensor Predict segment
-/// as one fleet-wide dataflow task graph (per-sensor stage chains with
-/// the fused cross-sensor `gp.gram_batch` device launch as a join node;
-/// see ServerOptions::use_task_graph). Admission
-/// control rejects when the shard is full; expired deadlines are shed at
-/// dequeue time, before any search work is paid for. `Snapshot` barriers
+/// the observed backlog. Predicts for one sensor with no Observe between
+/// them share one engine pass (coalescing), and each run of Predicts
+/// executes as one fleet in phases: every sensor's Search Step, one
+/// fused cross-sensor `gp.gram_batch` device launch, then every sensor's
+/// Prediction Step. Admission control rejects when the shard is full;
+/// expired deadlines are shed at dequeue time, before any search work is
+/// paid for. `Snapshot` barriers
 /// travel on a separate control-plane queue (exempt from data-plane
 /// capacity) and quiesce each shard at a batch boundary, exporting every
 /// engine's state for `serve::Checkpoint` warm restarts.
@@ -130,11 +116,10 @@ class PredictionServer {
 
   /// Attaches a tiered state store (store::TieredStateStore) that takes
   /// over engine residency for this fleet. Call once, before issuing
-  /// traffic. Shard workers then Pin each distinct sensor of a batch at
-  /// its first engine touch — as a leaf IO node of the predict task
-  /// graph (overlapping other sensors' compute) or inline before an
-  /// Observe — so rehydration cost lands in the dedicated `rehydrate`
-  /// stage of the latency taxonomy, not hidden inside batch_form. The
+  /// traffic. Shard workers then Pin each distinct sensor of a batch
+  /// inline at its first engine touch, so rehydration cost lands in the
+  /// dedicated `rehydrate` stage of the latency taxonomy, not hidden
+  /// inside batch_form. The
   /// byte budget is swept at each batch boundary. A request whose sensor
   /// fails to rehydrate (e.g. the store.rehydrate_read_short fault) is
   /// answered with that Status; the cold state stays intact and the next
@@ -288,22 +273,16 @@ class PredictionServer {
       std::int64_t claim_us, PredictCache* cache, std::size_t* sheds,
       store::TieredStateStore* store, std::vector<std::size_t>* pinned,
       std::unordered_map<std::size_t, Status>* pin_failed);
-  /// Runs the engine passes for \p sensors into \p results, pinning any
-  /// sensor not yet resident (outcomes merged into \p pinned /
-  /// \p pin_failed). Several sensors execute as one fleet — a task graph
-  /// (options_.use_task_graph) or barriered phases — sharing one fused
-  /// gram launch; a single sensor takes the monolithic path.
+  /// Runs one engine pass per sensor of \p sensors into \p results,
+  /// pinning any sensor not yet resident (outcomes merged into
+  /// \p pinned / \p pin_failed): every sensor's BeginPredict, one fused
+  /// gram launch for all of them, then every sensor's FinishPredict —
+  /// bitwise-identical to a sequential Predict() per sensor.
   void ExecutePredictFleet(const std::vector<std::size_t>& sensors,
                            std::unordered_map<std::size_t, Response>* results,
                            store::TieredStateStore* store,
                            std::vector<std::size_t>* pinned,
                            std::unordered_map<std::size_t, Status>* pin_failed);
-  /// The task-graph fleet executor behind ExecutePredictFleet.
-  void ExecutePredictFleetGraph(
-      const std::vector<std::size_t>& sensors,
-      std::unordered_map<std::size_t, Response>* results,
-      store::TieredStateStore* store, std::vector<std::size_t>* pinned,
-      std::unordered_map<std::size_t, Status>* pin_failed);
   void Respond(Shard* shard, Request* req, Response response);
   void UpdateBatchTarget(Shard* shard, std::size_t backlog, std::size_t sheds);
   /// Answers one snapshot barrier: store-aware (cold sensors decode from

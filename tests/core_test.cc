@@ -175,6 +175,59 @@ TEST(SensorEngineTest, EnsembleWeightsAdaptDuringRun) {
   EXPECT_TRUE(moved);
 }
 
+TEST(SensorEngineTest, RepeatedPredictsKeepOnePendingForecast) {
+  // A predict-only client must not grow the engine: forecasts for the
+  // same target time replace each other instead of queueing up.
+  simgpu::Device device;
+  auto engine = SensorEngine::Create(&device, MakeSensor(700), TestConfig(),
+                                     PredictorKind::kAr);
+  ASSERT_TRUE(engine.ok());
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(engine->Predict().ok());
+  EXPECT_EQ(engine->Snapshot().pending.size(), 1u);
+}
+
+TEST(SensorEngineTest, RepeatedPredictsAdaptWeightsOnce) {
+  // Predict, Predict, Predict, Observe must adapt the ensemble exactly
+  // like Predict, Observe: an observation resolves one forecast per
+  // target time, however often that forecast was asked for.
+  simgpu::Device device;
+  auto sensor = MakeSensor(800, ts::DatasetKind::kRoad);
+  std::vector<double> all = sensor.values();
+  const int warmup = 650;
+  ts::TimeSeries history("s",
+                         std::vector<double>(all.begin(), all.begin() + warmup));
+  auto once = SensorEngine::Create(&device, history, TestConfig(),
+                                   PredictorKind::kAr);
+  auto thrice = SensorEngine::Create(&device, history, TestConfig(),
+                                     PredictorKind::kAr);
+  ASSERT_TRUE(once.ok());
+  ASSERT_TRUE(thrice.ok());
+  for (int step = 0; step < 40; ++step) {
+    auto want = once->Predict();
+    ASSERT_TRUE(want.ok());
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      auto got = thrice->Predict();
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->mean, want->mean) << "step " << step;
+      EXPECT_EQ(got->variance, want->variance) << "step " << step;
+    }
+    ASSERT_TRUE(once->Observe(all[warmup + step]).ok());
+    ASSERT_TRUE(thrice->Observe(all[warmup + step]).ok());
+    const predictors::Ensemble::State a = once->ensemble().ExportState();
+    const predictors::Ensemble::State b = thrice->ensemble().ExportState();
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    for (std::size_t c = 0; c < a.cells.size(); ++c) {
+      EXPECT_EQ(a.cells[c].weight, b.cells[c].weight)
+          << "step " << step << " cell " << c;
+      EXPECT_EQ(a.cells[c].awake, b.cells[c].awake);
+      EXPECT_EQ(a.cells[c].counter, b.cells[c].counter);
+      EXPECT_EQ(a.cells[c].remaining, b.cells[c].remaining);
+    }
+    EXPECT_EQ(a.z_ewma, b.z_ewma) << "step " << step;
+    EXPECT_EQ(a.vif, b.vif) << "step " << step;
+  }
+}
+
 TEST(SensorEngineTest, SingletonConfigMatchesSmilerNeAblation) {
   simgpu::Device device;
   SmilerConfig cfg = TestConfig();

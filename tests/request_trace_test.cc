@@ -337,8 +337,8 @@ TEST_F(RequestTraceTest, ServeRequestFormsOneCrossThreadSpanTree) {
   }
 }
 
-// Store rehydration is an overlapped IO stage of its own (`rehydrate`),
-// NOT a slice of batch_form: with a 1-byte-budget tiered store attached
+// Store rehydration is a stage of its own (`rehydrate`), NOT a slice of
+// batch_form: with a 1-byte-budget tiered store attached
 // (every request re-pins through the cold tier) the rehydrate stage must
 // actually accrue owner time, and the per-stage owner sums must still
 // tile end-to-end latency with the same slack bound as the storeless

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "case_scratch_dir.h"
 #include "core/engine.h"
 #include "core/manager.h"
 #include "index/smiler_index.h"
@@ -220,19 +221,20 @@ class CheckpointCorruptionTest : public StatusPathsTest {
     // One Predict leaves a pending forecast in the snapshot, so the
     // pending-grid parse guard is reachable.
     ASSERT_TRUE(engine->Predict(nullptr).ok());
-    path_ = TempPath("corrupt");
+    // A file private to this case: `ctest -j` runs the cases as
+    // concurrent processes, which must not save over each other.
+    path_ = scratch_.path() + "/smiler_status_corrupt.ckpt";
     ASSERT_TRUE(serve::Checkpoint::Save(path_, {engine->Snapshot()}).ok());
     blob_ = ReadAll(path_);
     ASSERT_GT(blob_.size(), kPayloadOffset);
   }
-
-  void TearDown() override { std::remove(path_.c_str()); }
 
   StatusCode LoadCode(const std::string& bytes) {
     WriteAll(path_, bytes);
     return serve::Checkpoint::Load(path_).status().code();
   }
 
+  CaseScratchDir scratch_;
   std::string path_;
   std::string blob_;
 };
