@@ -37,7 +37,6 @@
 #include "common/thread_pool.h"
 #include "obs/obs.h"
 #include "serve/server.h"
-#include "simgpu/backend.h"
 #include "store/tiered_store.h"
 
 namespace {
@@ -74,13 +73,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
   }
 
-  const auto backend_kind = simgpu::BackendKindFromEnv();
-  if (!backend_kind.ok()) {
-    std::fprintf(stderr, "%s\n", backend_kind.status().ToString().c_str());
-    return 1;
-  }
-  const char* backend_name = simgpu::BackendKindName(*backend_kind);
-
   const BenchScale scale = GetScale();
   const bool full = scale.points >= 32768;
   const int n_sensors = full ? 128 : 64;
@@ -92,8 +84,8 @@ int main(int argc, char** argv) {
       MakeBenchDataset(ts::DatasetKind::kMall, scale, n_sensors, points);
 
   PrintHeader("capacity: tiered store vs all-resident, SMiLer-AR");
-  std::printf("sensors=%d warmup=%d steps=%d backend=%s budget_slots=%zu\n",
-              n_sensors, warmup, steps, backend_name, kBudgetSlots);
+  std::printf("sensors=%d warmup=%d steps=%d budget_slots=%zu\n", n_sensors,
+              warmup, steps, kBudgetSlots);
 
   const char* tmpdir_env = std::getenv("TMPDIR");
   const std::string scratch =
@@ -350,7 +342,6 @@ int main(int argc, char** argv) {
   const std::string json =
       std::string("{\n") +
       "  \"workload\": \"bench_capacity tiered store, SMiLer-AR\",\n" +
-      "  \"backend\": \"" + backend_name + "\",\n" +
       "  \"sensors\": " + std::to_string(n_sensors) + ",\n" +
       "  \"steps\": " + std::to_string(steps) + ",\n" +
       "  \"per_sensor_resident_bytes\": " +

@@ -25,7 +25,6 @@
 #include "common/thread_pool.h"
 #include "obs/obs.h"
 #include "serve/server.h"
-#include "simgpu/backend.h"
 
 namespace {
 
@@ -49,15 +48,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--sweep") == 0) sweep_enabled = true;
   }
-
-  // Resolve the execution backend up front so a typoed SMILER_BACKEND
-  // fails the run immediately instead of failing every kernel launch.
-  const auto backend_kind = simgpu::BackendKindFromEnv();
-  if (!backend_kind.ok()) {
-    std::fprintf(stderr, "%s\n", backend_kind.status().ToString().c_str());
-    return 1;
-  }
-  const char* backend_name = simgpu::BackendKindName(*backend_kind);
 
   const BenchScale scale = GetScale();
   const SmilerConfig cfg = PaperConfig();
@@ -84,8 +74,8 @@ int main(int argc, char** argv) {
   };
 
   PrintHeader("serve: Fig-12 workload, SMiLer-AR");
-  std::printf("sensors=%d warmup=%d steps=%d backend=%s\n", scale.sensors,
-              warmup, steps, backend_name);
+  std::printf("sensors=%d warmup=%d steps=%d\n", scale.sensors, warmup,
+              steps);
 
   // ---- baseline: single caller thread over the manager fan-out ----
   auto baseline_manager = make_manager();
@@ -336,7 +326,6 @@ int main(int argc, char** argv) {
   const std::string json =
       std::string("{\n") +
       "  \"workload\": \"bench_serve fig12 SMiLer-AR\",\n" +
-      "  \"backend\": \"" + backend_name + "\",\n" +
       "  \"sensors\": " + std::to_string(scale.sensors) + ",\n" +
       "  \"steps\": " + std::to_string(steps) + ",\n" + attribution +
       gp_block + sweep_block +

@@ -10,14 +10,10 @@
 #               "speedup_vs_reference"}, ...],
 #    "end_to_end": {"predict_seconds_p50", ...}}
 #
-# Stage 2 (kNN index): runs the Fig-7 search workload under BOTH execution
-# backends and distils the filter-and-verify counters into
-# BENCH_index.json — pruning ratio, verify/append wall time, and the
-# early-abandon/late-prune split of the cascade. Primary metrics come from
-# the native backend (`"backend": "native"`); the `simgpu_comparison`
-# block holds the simulated-grid run of the same workload plus the
-# native-vs-simgpu verify speedup. BENCH_la.json's end_to_end block is
-# likewise native-primary with a simgpu comparison.
+# Stage 2 (kNN index): runs the Fig-7 search workload and distils the
+# filter-and-verify counters into BENCH_index.json — pruning ratio,
+# verify/append wall time, and the early-abandon/late-prune split of the
+# cascade.
 #
 # Stage 3 (serving layer): runs the Fig-12 continuous-prediction workload
 # through the sharded PredictionServer under closed-loop clients and
@@ -75,25 +71,18 @@ echo "== micro kernels (paired vs la::reference) =="
   --benchmark_min_time=0.2 \
   --benchmark_out="$WORK/micro.json" --benchmark_out_format=json
 
-echo "== end-to-end predict step (Table 4 path, native + simgpu) =="
-# Primary numbers come from the native backend (the recommended production
-# setting); the same workload re-runs under the simulated grid so the
-# report carries a per-run backend comparison.
-SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" SMILER_BACKEND=native \
+echo "== end-to-end predict step (Table 4 path) =="
+SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" \
   ./build/bench/bench_table4_running_time \
   --metrics-json "$WORK/table4_metrics.json" > "$WORK/table4.txt"
 grep "SMiLer-GP" "$WORK/table4.txt" || true
-SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" SMILER_BACKEND=simgpu \
-  ./build/bench/bench_table4_running_time \
-  --metrics-json "$WORK/table4_metrics_simgpu.json" > "$WORK/table4_simgpu.txt"
 
 python3 - "$WORK/micro.json" "$WORK/table4_metrics.json" \
-  "$WORK/table4_metrics_simgpu.json" "$OUT_DIR/BENCH_la.json" <<'PY'
+  "$OUT_DIR/BENCH_la.json" <<'PY'
 import json
 import sys
 
-micro_path, metrics_path, simgpu_metrics_path, out_path = (
-    sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4])
+micro_path, metrics_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
 
 # Optimized benchmark -> (reference twin, logical op name).
 PAIRS = {
@@ -130,31 +119,17 @@ for (name, size), ns in sorted(times.items()):
         "speedup_vs_reference": round(ref_ns / ns, 2),
     })
 
-def predict_block(path):
-    with open(path) as f:
-        metrics = json.load(f)
-    h = metrics.get("histograms", {}).get("engine.predict_seconds", {})
-    return {
-        "predict_seconds_p50": h.get("p50"),
-        "predict_seconds_p95": h.get("p95"),
-        "predict_steps": h.get("count"),
-    } if h else {}
-
-
-predict = predict_block(metrics_path)
-simgpu_predict = predict_block(simgpu_metrics_path)
-comparison = {"end_to_end": simgpu_predict}
-if predict.get("predict_seconds_p50") and \
-        simgpu_predict.get("predict_seconds_p50"):
-    comparison["predict_p50_speedup_native_vs_simgpu"] = round(
-        simgpu_predict["predict_seconds_p50"] /
-        predict["predict_seconds_p50"], 3)
+with open(metrics_path) as f:
+    h = json.load(f).get("histograms", {}).get("engine.predict_seconds", {})
+predict = {
+    "predict_seconds_p50": h.get("p50"),
+    "predict_seconds_p95": h.get("p95"),
+    "predict_steps": h.get("count"),
+} if h else {}
 
 out = {
-    "backend": "native",
     "micro": micro,
     "end_to_end": predict,
-    "simgpu_comparison": comparison,
 }
 with open(out_path, "w") as f:
     json.dump(out, f, indent=2)
@@ -166,32 +141,25 @@ for row in micro:
 print(f"wrote {out_path}")
 PY
 
-echo "== kNN index search/append (Fig 7 workload, native + simgpu) =="
-SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" SMILER_BACKEND=native \
+echo "== kNN index search/append (Fig 7 workload) =="
+SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" \
   ./build/bench/bench_fig07_knn_search \
   --metrics-json "$WORK/fig07_metrics.json" > "$WORK/fig07.txt"
-SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" SMILER_BACKEND=simgpu \
-  ./build/bench/bench_fig07_knn_search \
-  --metrics-json "$WORK/fig07_metrics_simgpu.json" > "$WORK/fig07_simgpu.txt"
 
-python3 - "$WORK/fig07_metrics.json" "$WORK/fig07_metrics_simgpu.json" \
-  "$OUT_DIR/BENCH_index.json" <<'PY'
+python3 - "$WORK/fig07_metrics.json" "$OUT_DIR/BENCH_index.json" <<'PY'
 import json
 import sys
 
-metrics_path, simgpu_metrics_path, out_path = (
-    sys.argv[1], sys.argv[2], sys.argv[3])
+metrics_path, out_path = sys.argv[1], sys.argv[2]
 with open(metrics_path) as f:
     metrics = json.load(f)
-with open(simgpu_metrics_path) as f:
-    simgpu_metrics = json.load(f)
 c = metrics.get("counters", {})
 g = metrics.get("gauges", {})
 h = metrics.get("histograms", {})
 
 
-def hist(name, hists=None):
-    d = (h if hists is None else hists).get(name, {})
+def hist(name):
+    d = h.get(name, {})
     return {k: d.get(k) for k in ("count", "sum", "p50", "p95")}
 
 
@@ -199,24 +167,8 @@ def hist(name, hists=None):
 # "baseline" block is the pre-cascade core (threshold fixed after
 # seeding, no early abandon, serial item loop) measured on the same
 # workload, kept here so the speedup survives in-tree.
-sc = simgpu_metrics.get("counters", {})
-sh = simgpu_metrics.get("histograms", {})
-simgpu_comparison = {
-    "candidates_total": sc.get("index.candidates_total"),
-    "candidates_verified": sc.get("index.candidates_verified"),
-    "verify_seconds": hist("index.search.verify_seconds", sh),
-    "append_seconds": hist("index.append_seconds", sh),
-    "lower_bound_seconds": hist("index.search.lower_bound_seconds", sh),
-}
-native_verify = h.get("index.search.verify_seconds", {}).get("sum")
-simgpu_verify = sh.get("index.search.verify_seconds", {}).get("sum")
-if native_verify and simgpu_verify:
-    simgpu_comparison["verify_speedup_native_vs_simgpu"] = round(
-        simgpu_verify / native_verify, 3)
-
 out = {
     "workload": "bench_fig07_knn_search SMILER_BENCH_SCALE=smoke",
-    "backend": "native",
     "candidates_total": c.get("index.candidates_total"),
     "candidates_verified": c.get("index.candidates_verified"),
     "verify_early_abandoned": c.get("index.verify.early_abandoned"),
@@ -225,7 +177,6 @@ out = {
     "verify_seconds": hist("index.search.verify_seconds"),
     "append_seconds": hist("index.append_seconds"),
     "lower_bound_seconds": hist("index.search.lower_bound_seconds"),
-    "simgpu_comparison": simgpu_comparison,
     "baseline": {
         "candidates_total": 11748960,
         "candidates_verified": 2548756,
@@ -248,10 +199,6 @@ vs = out["verify_seconds"].get("sum")
 if vs:
     print(f"  verify_seconds sum: {vs:.3f} "
           f"(baseline {base['verify_seconds_sum']:.3f})")
-speedup = simgpu_comparison.get("verify_speedup_native_vs_simgpu")
-if speedup:
-    print(f"  verify native vs simgpu: {speedup:.2f}x "
-          f"(simgpu {simgpu_verify:.3f}s -> native {native_verify:.3f}s)")
 print(f"wrote {out_path}")
 PY
 
@@ -265,7 +212,7 @@ echo "== serving layer (Fig-12 workload through PredictionServer) =="
 # --sweep adds the shards x clients scaling grid to the report (the
 # "sweep" block) so BENCH_serve.json records how throughput scales with
 # shard count on this machine; scripts/check.sh gates on it.
-SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" SMILER_BACKEND=native \
+SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" \
   ./build/bench/bench_serve --sweep --out "$OUT_DIR/BENCH_serve.json" \
   --trace-exemplars "$OUT_DIR/BENCH_serve_exemplars.json"
 
@@ -275,5 +222,5 @@ echo "== tiered-store capacity (all-resident vs budgeted spill) =="
 # resident engine slots, and writes the JSON itself — the demonstrated
 # ratio is fleet bytes over the serving-phase resident high-water, so
 # transient pinned-batch residency above the budget counts against it.
-SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" SMILER_BACKEND=native \
+SMILER_BENCH_SCALE="${SMILER_BENCH_SCALE:-smoke}" \
   ./build/bench/bench_capacity --out "$OUT_DIR/BENCH_capacity.json"

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Repo gate: tier-1 build + tests, the backend-equivalence re-run
-# (index/GP/DTW suites under SMILER_BACKEND=native), the benchmark's
-# served-vs-replayed correctness self-check, the obs concurrency
-# tests under ThreadSanitizer, the serve SPSC/soak TSan pass, the
-# tracing-overhead gate (tracing-on must stay within 3% of tracing-off on
-# the smoke Fig-7 bench), and the serve shard-scaling smoke gate (4
-# shards must reach 1.3x the 1-shard throughput on multi-core runners).
+# Repo gate: tier-1 build + tests, the benchmark's served-vs-replayed
+# correctness self-check, the obs concurrency tests under
+# ThreadSanitizer, the serve SPSC/soak TSan pass, the tracing-overhead
+# gate (tracing-on must stay within 3% of tracing-off on the smoke Fig-7
+# bench), and the serve shard-scaling smoke gate (4 shards must reach
+# 1.3x the 1-shard throughput on multi-core runners).
 #
 #   scripts/check.sh             # full gate
 #   scripts/check.sh --fast      # tier-1 label only, skip the TSan pass
@@ -113,16 +112,6 @@ else
   ctest --test-dir build --output-on-failure -j "$(nproc)"
 fi
 
-echo "== backend equivalence (tier-1 index/GP/DTW suites, SMILER_BACKEND=native) =="
-# The native backend must be a drop-in for the simulated grid: the index,
-# GP, and DTW tier-1 suites (plus the dedicated cross-backend bitwise
-# suite) re-run with every kernel launch routed through the native
-# execution path. Runs in fast mode too — backend drift is a correctness
-# bug, not a stress-only concern.
-SMILER_BACKEND=native ctest --test-dir build \
-  -R 'IndexTest|IndexEquivalenceTest|GpTest|DtwTest|DtwPropertyTest|BackendSelectionTest|BackendEquivalenceTest|BackendExactnessContractTest|FleetEquivalenceTest' \
-  --no-tests=error --output-on-failure -j "$(nproc)" | tail -n 3
-
 echo "== benchmark self-check (perfbench workloads at tiny scale) =="
 # Serves every perfbench workload at a tiny scale, untraced and traced,
 # and fails if a served prediction differs bitwise from its sequential
@@ -219,7 +208,7 @@ if [[ "$(nproc)" -lt 4 ]]; then
   echo "   SKIPPED: only $(nproc) core(s) — shard scaling needs >= 4 cores"
 else
   cmake --build build -j --target bench_serve >/dev/null
-  SMILER_BENCH_SCALE=smoke SMILER_BACKEND=native \
+  SMILER_BENCH_SCALE=smoke \
     ./build/bench/bench_serve --sweep --out build/serve_scaling.json \
     >/dev/null
   python3 - build/serve_scaling.json <<'PY'

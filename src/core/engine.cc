@@ -199,11 +199,11 @@ void SensorEngine::ComputeGrams(PendingPredict* pending) {
   WallTimer gram_timer;
   for (PendingPredict::GramColumn& column : pending->columns) {
     if (column.x.rows() == 0) continue;
-    // Route the Gram through the device so SE-kernel evaluation runs on
-    // the selected backend and is profiled as "gp.gram"; both backends
-    // are bitwise-identical to the host function. A launch failure
-    // (e.g. chaos injection) falls back to the host path — same
-    // degradation contract as the cells recomputing their own distances.
+    // Route the Gram through the device so SE-kernel evaluation is
+    // profiled as "gp.gram"; the device result is bitwise-identical to
+    // the host function. A launch failure (e.g. chaos injection) falls
+    // back to the host path — same degradation contract as the cells
+    // recomputing their own distances.
     auto gram_or = gp::PairwiseSquaredDistancesOnDevice(index_.device(),
                                                         column.x);
     column.gram = gram_or.ok() ? std::move(*gram_or)

@@ -164,8 +164,8 @@ class SensorEngine {
   /// forecast for the same target time as the latest pending one
   /// replaces it, so at most one forecast per target time awaits its
   /// observation. The prediction is bitwise-identical to a monolithic
-  /// Predict() whenever the supplied Grams are (both backends and the
-  /// batched launch guarantee that).
+  /// Predict() whenever the supplied Grams are (the solo and the batched
+  /// Gram launches guarantee that).
   Result<predictors::Prediction> FinishPredict(PendingPredict pending,
                                                EngineStats* stats = nullptr);
 

@@ -38,8 +38,8 @@ Result<la::Matrix> PairwiseSquaredDistancesOnDevice(simgpu::Device* device,
   la::Matrix dists(k, k);
   if (device == nullptr || k < 2) return dists;
 
-  // Grid body: block i fills row i's strict upper triangle entrywise (the
-  // host function's arithmetic exactly) and mirrors each entry. Blocks
+  // Block i fills row i's strict upper triangle entrywise (the host
+  // function's arithmetic exactly) and mirrors each entry. Blocks
   // touch disjoint entries: (i, j) belongs to block min(i, j).
   const simgpu::Kernel grid_kernel = [&](simgpu::BlockContext& ctx) {
     const std::size_t i = static_cast<std::size_t>(ctx.block_id);
@@ -49,30 +49,8 @@ Result<la::Matrix> PairwiseSquaredDistancesOnDevice(simgpu::Device* device,
       dists(j, i) = d;
     }
   };
-  // Native body: transpose once (value copies only), then accumulate each
-  // row's entries dimension-by-dimension with a vectorizable inner loop
-  // over columns. Entry (i, j) receives (x(i,dd) - x(j,dd))^2 for dd =
-  // 0, 1, ... in ascending order onto a zero start — the exact add
-  // sequence of SquaredDistance, so every entry is bitwise-identical.
-  const simgpu::NativeKernel native_kernel = [&](simgpu::NativeContext& nctx) {
-    const la::Matrix xt = x.Transposed();
-    nctx.ParallelFor(k, [&](std::size_t i) {
-      double* row = dists.Row(i);
-      const double* xi = x.Row(i);
-      for (std::size_t dd = 0; dd < dim; ++dd) {
-        const double v = xi[dd];
-        const double* xtr = xt.Row(dd);
-#pragma omp simd
-        for (std::size_t j = i + 1; j < k; ++j) {
-          const double dq = v - xtr[j];
-          row[j] += dq * dq;
-        }
-      }
-      for (std::size_t j = i + 1; j < k; ++j) dists(j, i) = row[j];
-    });
-  };
-  SMILER_RETURN_NOT_OK(device->Launch("gp.gram", static_cast<int>(k), 1,
-                                      grid_kernel, native_kernel));
+  SMILER_RETURN_NOT_OK(
+      device->Launch("gp.gram", static_cast<int>(k), 1, grid_kernel));
   return dists;
 }
 
@@ -88,9 +66,9 @@ Status PairwiseSquaredDistancesOnDeviceBatch(
   }
   if (device == nullptr || grid.total_blocks() == 0) return Status::OK();
 
-  // Grid body: flat block -> (job, row i); block fills row i's strict
-  // upper triangle of its job's Gram and mirrors it — byte-for-byte the
-  // solo "gp.gram" block program, just addressed through the batch map.
+  // Flat block -> (job, row i); the block fills row i's strict upper
+  // triangle of its job's Gram and mirrors it — byte-for-byte the solo
+  // "gp.gram" block program, just addressed through the batch map.
   const simgpu::Kernel grid_kernel = [&](simgpu::BlockContext& ctx) {
     const simgpu::BatchGrid::Pos pos = grid.Locate(ctx.block_id);
     const la::Matrix& x = *jobs[pos.job].x;
@@ -104,42 +82,7 @@ Status PairwiseSquaredDistancesOnDeviceBatch(
       dists(j, i) = d;
     }
   };
-  // Native body: one transposed copy per job, then a flat ParallelFor
-  // over every row of every job. Entry (i, j) accumulates
-  // (x(i,dd) - x(j,dd))^2 in ascending dd order onto a zero start — the
-  // exact add sequence of SquaredDistance, hence bitwise-identical to
-  // both the host function and the solo native body.
-  const simgpu::NativeKernel native_kernel = [&](simgpu::NativeContext& nctx) {
-    std::vector<la::Matrix> transposed(jobs.size());
-    for (std::size_t b = 0; b < jobs.size(); ++b) {
-      if (jobs[b].x->rows() >= 2) transposed[b] = jobs[b].x->Transposed();
-    }
-    nctx.ParallelFor(
-        static_cast<std::size_t>(grid.total_blocks()), [&](std::size_t flat) {
-          const simgpu::BatchGrid::Pos pos =
-              grid.Locate(static_cast<int>(flat));
-          const la::Matrix& x = *jobs[pos.job].x;
-          const la::Matrix& xt = transposed[pos.job];
-          la::Matrix& dists = *jobs[pos.job].out;
-          const std::size_t k = x.rows();
-          const std::size_t dim = x.cols();
-          const std::size_t i = static_cast<std::size_t>(pos.local);
-          double* row = dists.Row(i);
-          const double* xi = x.Row(i);
-          for (std::size_t dd = 0; dd < dim; ++dd) {
-            const double v = xi[dd];
-            const double* xtr = xt.Row(dd);
-#pragma omp simd
-            for (std::size_t j = i + 1; j < k; ++j) {
-              const double dq = v - xtr[j];
-              row[j] += dq * dq;
-            }
-          }
-          for (std::size_t j = i + 1; j < k; ++j) dists(j, i) = row[j];
-        });
-  };
-  return device->Launch("gp.gram_batch", grid.total_blocks(), 1, grid_kernel,
-                        native_kernel);
+  return device->Launch("gp.gram_batch", grid.total_blocks(), 1, grid_kernel);
 }
 
 SeKernel SeKernel::Heuristic(const la::Matrix& x, const std::vector<double>& y,

@@ -99,15 +99,12 @@ la::Matrix PairwiseSquaredDistances(const la::Matrix& x);
 
 /// \brief PairwiseSquaredDistances routed through \p device as the
 /// "gp.gram" kernel, so SE-kernel Gram evaluation shows up in per-kernel
-/// profiling and runs on the selected execution backend. Under the grid
-/// backend one block computes one row's upper-triangle entries; the native
-/// body walks a transposed copy of \p x dimension-by-dimension with a
-/// vectorized accumulator over columns. Both paths perform each entry's
-/// additions in the same ascending-dimension order as SquaredDistance, so
-/// the result is bitwise-identical to the host function (the Gram-cache
-/// contract: a cached Gram matches what each consumer would compute).
-/// Fails only when the launch itself fails (e.g. an invalid
-/// SMILER_BACKEND); callers fall back to the host function.
+/// profiling. One block computes one row's upper-triangle entries with
+/// SquaredDistance, so the result is bitwise-identical to the host
+/// function (the Gram-cache contract: a cached Gram matches what each
+/// consumer would compute). Fails only when the launch itself fails (e.g.
+/// an injected `simgpu.launch` fault); callers fall back to the host
+/// function.
 Result<la::Matrix> PairwiseSquaredDistancesOnDevice(simgpu::Device* device,
                                                     const la::Matrix& x);
 
@@ -123,12 +120,12 @@ struct GramBatchJob {
 /// (simgpu::BatchGrid maps the fused flat grid back to per-job rows), so
 /// a serve-layer micro-batch of N sensors pays one launch instead of N.
 /// Per entry the arithmetic is exactly PairwiseSquaredDistancesOnDevice's
-/// — grid body per-row upper triangle, native body ascending-dimension
-/// accumulation — so each job's result is bitwise-identical to a solo
-/// launch (and to the host function). Jobs with fewer than 2 rows get
-/// their zero matrix without contributing blocks. On launch failure no
-/// job's output is usable; callers fall back to the host function per
-/// job, mirroring the solo path's degradation contract.
+/// (one block per row's upper triangle), so each job's result is
+/// bitwise-identical to a solo launch (and to the host function). Jobs
+/// with fewer than 2 rows get their zero matrix without contributing
+/// blocks. On launch failure no job's output is usable; callers fall back
+/// to the host function per job, mirroring the solo path's degradation
+/// contract.
 Status PairwiseSquaredDistancesOnDeviceBatch(
     simgpu::Device* device, const std::vector<GramBatchJob>& jobs);
 

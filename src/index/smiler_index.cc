@@ -74,20 +74,12 @@ Result<SmilerIndex> SmilerIndex::Build(simgpu::Device* device,
   idx.prev_knn_.assign(config.elv.size(), {});
 
   // Window-level build: one block per sliding window computes that
-  // window's whole posting list (Section 4.3.1). Both backends run the
-  // same ComputeRow body over the same decomposition; the native path
-  // just skips the per-block arena/timer machinery.
+  // window's whole posting list (Section 4.3.1).
   SmilerIndex* self = &idx;
-  const int n_rows = idx.S_;
   SMILER_RETURN_NOT_OK(device->Launch(
-      "index.window_build", n_rows, config.omega,
+      "index.window_build", idx.S_, config.omega,
       [self](simgpu::BlockContext& ctx) {
         self->ComputeRow(ctx.block_id, /*eq_only=*/false);
-      },
-      [self, n_rows](simgpu::NativeContext& nctx) {
-        nctx.ParallelFor(static_cast<std::size_t>(n_rows), [self](std::size_t b) {
-          self->ComputeRow(static_cast<int>(b), /*eq_only=*/false);
-        });
       }));
   SMILER_RETURN_NOT_OK(idx.UpdateMemoryAccounting());
   return idx;
@@ -301,20 +293,13 @@ Status SmilerIndex::Append(double value) {
   if (S_ > 1 && first_changed_dw < R_) {
     SmilerIndex* self = this;
     const int n_cols = static_cast<int>(R_ - first_changed_dw);
-    const auto column_body = [self, first_changed_dw, new_r](long block) {
-      const long r = first_changed_dw + block;
-      for (int b = 1; b < self->S_; ++b) {
-        self->ComputeColumnEntry(b, r, /*both=*/r == new_r);
-      }
-    };
     SMILER_RETURN_NOT_OK(device_->Launch(
         "index.append_columns", n_cols, omega,
-        [column_body](simgpu::BlockContext& ctx) { column_body(ctx.block_id); },
-        [column_body, n_cols](simgpu::NativeContext& nctx) {
-          nctx.ParallelFor(static_cast<std::size_t>(n_cols),
-                           [&](std::size_t b) {
-                             column_body(static_cast<long>(b));
-                           });
+        [self, first_changed_dw, new_r](simgpu::BlockContext& ctx) {
+          const long r = first_changed_dw + ctx.block_id;
+          for (int b = 1; b < self->S_; ++b) {
+            self->ComputeColumnEntry(b, r, /*both=*/r == new_r);
+          }
         }));
   }
 
@@ -327,13 +312,6 @@ Status SmilerIndex::Append(double value) {
       "index.append_rows", refresh + 1, omega,
       [self](simgpu::BlockContext& ctx) {
         self->ComputeRow(ctx.block_id, /*eq_only=*/ctx.block_id != 0);
-      },
-      [self, refresh](simgpu::NativeContext& nctx) {
-        nctx.ParallelFor(static_cast<std::size_t>(refresh) + 1,
-                         [self](std::size_t b) {
-                           self->ComputeRow(static_cast<int>(b),
-                                            /*eq_only=*/b != 0);
-                         });
       }));
 
   Status st = UpdateMemoryAccounting();
@@ -396,10 +374,11 @@ Result<LowerBoundTable> SmilerIndex::GroupLowerBounds(
   LowerBoundTable* out = &table;
   const std::vector<long>* limits = &t_limit;
   const std::vector<std::vector<Emit>>* emit_ptr = &emits;
-  // One shared per-CSG fold body: the grid backend runs it once per block,
-  // the native backend as a flat loop over CSG identifiers — bitwise the
-  // same sums either way, with no arena/timer per CSG on the native path.
-  const auto fold_csg = [self, out, limits, emit_ptr, omega](int b) {
+  // The kernel is bound to a named variable first: a `#pragma` cannot
+  // appear inside a macro argument.
+  const simgpu::Kernel group_kernel = [self, out, limits, emit_ptr,
+                                       omega](simgpu::BlockContext& ctx) {
+    const int b = ctx.block_id;
     const std::vector<Emit>& todo = (*emit_ptr)[b];
     if (todo.empty()) return;
     const int max_m = todo.back().m;
@@ -434,18 +413,8 @@ Result<LowerBoundTable> SmilerIndex::GroupLowerBounds(
       }
     }
   };
-  // The kernels are bound to named variables first: a `#pragma` cannot
-  // appear inside a macro argument (the pragma lives in fold_csg).
-  const simgpu::Kernel group_kernel =
-      [fold_csg](simgpu::BlockContext& ctx) { fold_csg(ctx.block_id); };
-  const simgpu::NativeKernel group_native =
-      [fold_csg, omega](simgpu::NativeContext& nctx) {
-        nctx.ParallelFor(static_cast<std::size_t>(omega), [&](std::size_t b) {
-          fold_csg(static_cast<int>(b));
-        });
-      };
   SMILER_RETURN_NOT_OK(device_->Launch("index.group_lower_bound", omega,
-                                       omega, group_kernel, group_native));
+                                       omega, group_kernel));
   return table;
 }
 
@@ -458,27 +427,22 @@ Result<LowerBoundTable> SmilerIndex::DirectLowerBounds(
   const SmilerIndex* self = this;
   LowerBoundTable* out = &table;
   const int h = reserve_horizon;
-  const auto direct_body = [self, out, h](std::size_t i) {
-    const int d = self->cfg_.elv[i];
-    const long t_count = self->NumCandidates(i, h);
-    auto& eq = out->lb_eq[i];
-    auto& ec = out->lb_ec[i];
-    eq.assign(std::max<long>(0, t_count), 0.0);
-    ec.assign(std::max<long>(0, t_count), 0.0);
-    const double* q = self->series_.data() + self->series_.size() - d;
-    const dtw::Envelope env_q = dtw::ComputeEnvelope(q, d, self->cfg_.rho);
-    for (long t = 0; t < t_count; ++t) {
-      eq[t] = dtw::LbKeogh(env_q, self->series_.data() + t, d);
-      ec[t] = dtw::LbKeoghAligned(self->env_c_, t, q, 0, d);
-    }
-  };
   SMILER_RETURN_NOT_OK(device_->Launch(
       "index.direct_lower_bound", static_cast<int>(n_items), cfg_.omega,
-      [direct_body](simgpu::BlockContext& ctx) {
-        direct_body(static_cast<std::size_t>(ctx.block_id));
-      },
-      [direct_body, n_items](simgpu::NativeContext& nctx) {
-        nctx.ParallelFor(n_items, direct_body);
+      [self, out, h](simgpu::BlockContext& ctx) {
+        const std::size_t i = static_cast<std::size_t>(ctx.block_id);
+        const int d = self->cfg_.elv[i];
+        const long t_count = self->NumCandidates(i, h);
+        auto& eq = out->lb_eq[i];
+        auto& ec = out->lb_ec[i];
+        eq.assign(std::max<long>(0, t_count), 0.0);
+        ec.assign(std::max<long>(0, t_count), 0.0);
+        const double* q = self->series_.data() + self->series_.size() - d;
+        const dtw::Envelope env_q = dtw::ComputeEnvelope(q, d, self->cfg_.rho);
+        for (long t = 0; t < t_count; ++t) {
+          eq[t] = dtw::LbKeogh(env_q, self->series_.data() + t, d);
+          ec[t] = dtw::LbKeoghAligned(self->env_c_, t, q, 0, d);
+        }
       }));
   return table;
 }
@@ -602,16 +566,16 @@ Status SmilerIndex::SearchItem(std::size_t item, const LowerBoundTable& table,
   // --- Verification: compressed-warping-matrix banded DTW on device,
   // cascade-pruned against a monotonically tightening tau ---
   //
-  // One strip body serves both backends. Strip s of n walks candidates
-  // s, s + n, s + 2n, ... and verifies them kB at a time through the
-  // lane-batched DTW (per lane bitwise the scalar kernel), the last < kB
-  // of the strip through the scalar kernel. Each strip keeps a top-k of
-  // true distances (seeds plus what it verified): its k-th smallest is
-  // the k-th best of a subset of real candidates, hence a valid upper
-  // bound on the k-th NN distance, so every strip tightens the shared tau
-  // with a plain atomic min and the final kNN is identical under any
-  // strip count or interleaving. The prune decision reads a fresh tau per
-  // candidate; the early-abandon cutoff is the freshest tau of its batch.
+  // Strip s of n walks candidates s, s + n, s + 2n, ... and verifies
+  // them kB at a time through the lane-batched DTW (per lane bitwise the
+  // scalar kernel), the last < kB of the strip through the scalar
+  // kernel. Each strip keeps a top-k of true distances (seeds plus what
+  // it verified): its k-th smallest is the k-th best of a subset of real
+  // candidates, hence a valid upper bound on the k-th NN distance, so
+  // every strip tightens the shared tau with a plain atomic min and the
+  // final kNN is identical under any strip count or interleaving. The
+  // prune decision reads a fresh tau per candidate; the early-abandon
+  // cutoff is the freshest tau of its batch.
   std::vector<double> cand_dist(cand.size(), kInf);
   std::atomic<double> shared_tau{tau};
   std::atomic<std::uint64_t> abandoned{0};
@@ -672,7 +636,7 @@ Status SmilerIndex::SearchItem(std::size_t item, const LowerBoundTable& table,
         }
       }
     };
-    // Grid: one strip per block, the query and the lane-major compressed
+    // One strip per block, the query and the lane-major compressed
     // warping matrix in shared memory (Appendix E / Algorithm 2). Either
     // allocation can fail (arena exhausted, or chaos-injected); the
     // fallbacks — the query from global memory, heap scratch — hold the
@@ -690,18 +654,9 @@ Status SmilerIndex::SearchItem(std::size_t item, const LowerBoundTable& table,
       verify_strip(static_cast<std::size_t>(ctx.block_id),
                    shq != nullptr ? shq : q, scratch);
     };
-    const simgpu::NativeKernel verify_native =
-        [&](simgpu::NativeContext& nctx) {
-          nctx.ParallelFor(n_strips, [&](std::size_t strip) {
-            std::vector<double> scratch(
-                dtw::CompressedDtwBatchScratchSize(rho));
-            verify_strip(strip, q, scratch.data());
-          });
-        };
     SMILER_RETURN_NOT_OK(device_->Launch("index.verify_dtw",
                                          static_cast<int>(n_strips),
-                                         cfg_.omega, verify_kernel,
-                                         verify_native));
+                                         cfg_.omega, verify_kernel));
   }
   const std::uint64_t n_pruned_late =
       pruned_late.load(std::memory_order_relaxed);

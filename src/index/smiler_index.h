@@ -186,8 +186,7 @@ class SmilerIndex {
   long NumCandidates(std::size_t elv_index, int reserve_horizon) const;
 
   /// The device this index charges memory to and launches kernels on
-  /// (shared with the engine's GP Gram evaluation — one backend selection
-  /// governs the whole predict path).
+  /// (shared with the engine's GP Gram evaluation).
   simgpu::Device* device() const { return device_; }
 
   /// The sensor's full history (z-normalized values as supplied).

@@ -2,15 +2,15 @@
 
 #include <string>
 
+#include "chaos/fault.h"
 #include "common/timer.h"
 #include "obs/obs.h"
 
 namespace smiler {
 namespace simgpu {
 
-Status Device::LaunchImpl(const char* name, int grid_dim, int block_dim,
-                          const Kernel& kernel, const NativeKernel* native) {
-  if (backend_ == nullptr) return backend_status_;
+Status Device::Launch(const char* name, int grid_dim, int block_dim,
+                      const Kernel& kernel) {
   if (grid_dim < 0 || block_dim <= 0) {
     return Status::InvalidArgument("grid_dim must be >= 0, block_dim > 0");
   }
@@ -19,13 +19,8 @@ Status Device::LaunchImpl(const char* name, int grid_dim, int block_dim,
       "simgpu.launch",
       Status::Internal(std::string("injected launch failure: ") + name));
 
-  stats_.kernels_launched += 1;
-  stats_.blocks_executed += static_cast<std::uint64_t>(grid_dim);
-
-  // Per-kernel profiling instruments (one registry lookup per launch; the
-  // per-block work inside the backend touches only the resolved
-  // references). Shared across backends so dashboards keyed on
-  // `simgpu.kernel.<name>.*` keep working whichever backend runs.
+  // Per-kernel profiling instruments: one registry lookup per launch; the
+  // per-block work below touches only the resolved references.
   obs::Registry& reg = obs::Registry::Global();
   const std::string prefix = std::string("simgpu.kernel.") + name;
   reg.GetCounter(prefix + ".launches").Increment();
@@ -36,18 +31,25 @@ Status Device::LaunchImpl(const char* name, int grid_dim, int block_dim,
       reg.GetGauge("simgpu.shared_memory.high_water_bytes");
   obs::ScopedSpan span(name);
 
-  LaunchSpec spec;
-  spec.name = name;
-  spec.grid_dim = grid_dim;
-  spec.block_dim = block_dim;
-  spec.shared_bytes = shared_bytes_;
-  spec.pool = pool_;
-  spec.grid = &kernel;
-  spec.native = native;
-  spec.block_seconds = &block_seconds;
-  spec.kernel_high_water = &kernel_high_water;
-  spec.device_high_water = &device_high_water;
-  backend_->Execute(spec);
+  pool_->ParallelFor(
+      static_cast<std::size_t>(grid_dim), [&](std::size_t block) {
+        // Each block owns its shared-memory arena, like a CUDA SM
+        // assigning shared memory per resident block. Nothing is
+        // allocated until the kernel's first Alloc, and nothing is
+        // zeroed: CUDA shared memory starts undefined too.
+        SharedMemory shared(shared_bytes_);
+        BlockContext ctx;
+        ctx.block_id = static_cast<int>(block);
+        ctx.grid_dim = grid_dim;
+        ctx.block_dim = block_dim;
+        ctx.shared = &shared;
+        WallTimer timer;
+        kernel(ctx);
+        block_seconds.Observe(timer.ElapsedSeconds());
+        const double peak = static_cast<double>(shared.high_water());
+        kernel_high_water.SetMax(peak);
+        device_high_water.SetMax(peak);
+      });
   return Status::OK();
 }
 

@@ -68,29 +68,14 @@ class SharedMemory {
   std::size_t high_water_;
 };
 
-/// \brief Execution context handed to a kernel, one per thread block.
-///
-/// Lanes model CUDA threads. `ForEachLane(fn)` runs `fn(lane)` for every
-/// lane of the block; consecutive ForEachLane calls are separated by an
-/// implicit block-wide barrier (the SIMD phases our kernels need map onto
-/// this structure exactly — see DESIGN.md S3).
+/// \brief Execution context handed to a kernel, one per thread block:
+/// the block's position in the grid, the launch geometry, and the block's
+/// private shared-memory arena.
 struct BlockContext {
   int block_id = 0;
   int grid_dim = 1;
   int block_dim = 1;
   SharedMemory* shared = nullptr;
-
-  template <typename Fn>
-  void ForEachLane(Fn&& fn) const {
-    for (int lane = 0; lane < block_dim; ++lane) fn(lane);
-  }
-
-  /// Grid-stride style helper: runs `fn(i)` for every i in [0, n) with the
-  /// block's lanes striding over the range (i = lane, lane+block_dim, ...).
-  template <typename Fn>
-  void StridedFor(std::size_t n, Fn&& fn) const {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
 };
 
 /// A kernel is invoked once per block.

@@ -116,9 +116,9 @@ Result<std::unique_ptr<TieredStateStore>> TieredStateStore::Create(
   std::size_t budget = options.budget_bytes;
   Status env_status = Status::OK();
   if (budget == 0) {
-    // Fail-fast env contract (mirrors SMILER_BACKEND): an invalid value
-    // does not fall back to a default — the store constructs, but every
-    // operation returns the parse error until the env is fixed.
+    // Fail-fast env contract: an invalid value does not fall back to a
+    // default — the store constructs, but every operation returns the
+    // parse error until the env is fixed.
     auto from_env = StoreBudgetFromEnv();
     if (from_env.ok()) {
       budget = *from_env;

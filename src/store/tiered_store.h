@@ -19,8 +19,7 @@ namespace store {
 
 /// Parses a SMILER_STORE_BUDGET_BYTES-style value: a plain decimal byte
 /// count (e.g. "6442450944" for the paper's 6 GiB device). Anything else
-/// fails with InvalidArgument — the same fail-fast contract as
-/// SMILER_BACKEND, no silent default.
+/// fails with InvalidArgument — fail fast, no silent default.
 Result<std::size_t> ParseStoreBudget(std::string_view text);
 
 /// Resolves the byte budget from SMILER_STORE_BUDGET_BYTES. Unset or

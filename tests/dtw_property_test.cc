@@ -183,10 +183,10 @@ TEST(DtwPropertyTest, CompressedEarlyAbandonExactnessContract) {
 }
 
 TEST(DtwPropertyTest, BatchedEarlyAbandonKeepsExactnessContractPerLane) {
-  // The native backend's 4-lane batched verify kernel inherits the scalar
-  // exactness contract lane by lane: each lane's result is bitwise the
-  // scalar CompressedDtwEarlyAbandon value for its own candidate and
-  // cutoff, even when neighboring lanes abandon at different columns.
+  // The 4-lane batched verify kernel inherits the scalar exactness
+  // contract lane by lane: each lane's result is bitwise the scalar
+  // CompressedDtwEarlyAbandon value for its own candidate and cutoff,
+  // even when neighboring lanes abandon at different columns.
   Rng rng(307);
   for (int trial = 0; trial < 40; ++trial) {
     const int n = 8 + static_cast<int>(rng.UniformInt(90));
@@ -217,6 +217,10 @@ TEST(DtwPropertyTest, BatchedEarlyAbandonKeepsExactnessContractPerLane) {
         CompressedDtwEarlyAbandonBatch(q.data(), lanes, n, rho, cutoff, out,
                                        batch_scratch.data());
         for (int l = 0; l < kDtwBatchLanes; ++l) {
+          EXPECT_EQ(out[l], CompressedDtwEarlyAbandon(q.data(), lanes[l], n,
+                                                      rho, cutoff,
+                                                      scratch.data()))
+              << "lane=" << l << " pivot=" << pivot << " f=" << f;
           if (exact[l] <= cutoff) {
             ASSERT_EQ(out[l], exact[l])
                 << "lane=" << l << " pivot=" << pivot << " f=" << f;

@@ -8,7 +8,6 @@
 // (EXPECT_EQ on the raw doubles) to a plain sequential
 // `SensorEngine::Predict()` loop:
 //
-//  * on both execution backends (simulated grid and native CPU),
 //  * cold (first predict) and warm (streamed steps with online updates),
 //  * for both predictor kinds (GP through the fused gram launch, AR with
 //    no Grams at all), and
@@ -35,8 +34,6 @@
 
 namespace smiler {
 namespace {
-
-using simgpu::BackendKind;
 
 /// Small AR deployment geometry (fast; no Gram work).
 SmilerConfig ArConfig() {
@@ -92,10 +89,10 @@ using PredictionTable = std::vector<std::vector<predictors::Prediction>>;
 
 /// Serial ground truth: plain engines, no server, no store — one
 /// monolithic Predict() then Observe() per sensor per step.
-void SequentialReference(BackendKind backend, const Fleet& fleet,
-                         const SmilerConfig& cfg, core::PredictorKind kind,
-                         int steps, PredictionTable* out) {
-  simgpu::Device device(6ULL << 30, 64ULL << 10, nullptr, backend);
+void SequentialReference(const Fleet& fleet, const SmilerConfig& cfg,
+                         core::PredictorKind kind, int steps,
+                         PredictionTable* out) {
+  simgpu::Device device;
   auto control =
       core::MultiSensorManager::Create(&device, fleet.histories, cfg, kind);
   ASSERT_TRUE(control.ok()) << control.status().ToString();
@@ -116,11 +113,10 @@ void SequentialReference(BackendKind backend, const Fleet& fleet,
 /// multi-sensor fleets with a shared gram launch actually form.
 /// Lone-claimed requests make a one-sensor fleet instead; either way the
 /// values must match.
-void ServeThroughServer(BackendKind backend, const Fleet& fleet,
-                        const SmilerConfig& cfg, core::PredictorKind kind,
-                        int steps, const std::string& store_dir,
-                        PredictionTable* out) {
-  simgpu::Device device(6ULL << 30, 64ULL << 10, nullptr, backend);
+void ServeThroughServer(const Fleet& fleet, const SmilerConfig& cfg,
+                        core::PredictorKind kind, int steps,
+                        const std::string& store_dir, PredictionTable* out) {
+  simgpu::Device device;
   auto manager =
       core::MultiSensorManager::Create(&device, fleet.histories, cfg, kind);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
@@ -193,71 +189,58 @@ void ExpectBitwiseEqual(const PredictionTable& got, const PredictionTable& want,
   }
 }
 
-class FleetEquivalenceTest : public ::testing::TestWithParam<BackendKind> {};
-
-TEST_P(FleetEquivalenceTest, GpFleetMatchesSequentialPredict) {
-  const BackendKind backend = GetParam();
+TEST(FleetEquivalenceTest, GpFleetMatchesSequentialPredict) {
   constexpr int kSensors = 3;
   constexpr int kSteps = 6;
   Fleet fleet = MakeFleet(kSensors, 694, kSteps, 2015);
 
   PredictionTable want;
-  SequentialReference(backend, fleet, GpConfig(), core::PredictorKind::kGp,
-                      kSteps, &want);
+  SequentialReference(fleet, GpConfig(), core::PredictorKind::kGp, kSteps,
+                      &want);
   if (HasFatalFailure()) return;
 
   PredictionTable served;
-  ServeThroughServer(backend, fleet, GpConfig(), core::PredictorKind::kGp,
-                     kSteps, /*store_dir=*/"", &served);
+  ServeThroughServer(fleet, GpConfig(), core::PredictorKind::kGp, kSteps,
+                     /*store_dir=*/"", &served);
   if (HasFatalFailure()) return;
   ExpectBitwiseEqual(served, want, "served vs sequential (gp)");
 }
 
-TEST_P(FleetEquivalenceTest, GpFleetWithTinyBudgetStoreMatchesSequential) {
-  const BackendKind backend = GetParam();
+TEST(FleetEquivalenceTest, GpFleetWithTinyBudgetStoreMatchesSequential) {
   constexpr int kSensors = 3;
   constexpr int kSteps = 6;
   Fleet fleet = MakeFleet(kSensors, 694, kSteps, 2015);
 
   PredictionTable want;
-  SequentialReference(backend, fleet, GpConfig(), core::PredictorKind::kGp,
-                      kSteps, &want);
+  SequentialReference(fleet, GpConfig(), core::PredictorKind::kGp, kSteps,
+                      &want);
   if (HasFatalFailure()) return;
 
   CaseScratchDir scratch;
   PredictionTable served;
-  ServeThroughServer(backend, fleet, GpConfig(), core::PredictorKind::kGp,
-                     kSteps, scratch.path(), &served);
+  ServeThroughServer(fleet, GpConfig(), core::PredictorKind::kGp, kSteps,
+                     scratch.path(), &served);
   if (HasFatalFailure()) return;
   ExpectBitwiseEqual(served, want, "served+tiered-store vs sequential (gp)");
 }
 
-TEST_P(FleetEquivalenceTest, ArFleetWithTinyBudgetStoreMatchesSequential) {
-  const BackendKind backend = GetParam();
+TEST(FleetEquivalenceTest, ArFleetWithTinyBudgetStoreMatchesSequential) {
   constexpr int kSensors = 4;
   constexpr int kSteps = 10;
   Fleet fleet = MakeFleet(kSensors, 96, kSteps, 77);
 
   PredictionTable want;
-  SequentialReference(backend, fleet, ArConfig(), core::PredictorKind::kAr,
-                      kSteps, &want);
+  SequentialReference(fleet, ArConfig(), core::PredictorKind::kAr, kSteps,
+                      &want);
   if (HasFatalFailure()) return;
 
   CaseScratchDir scratch;
   PredictionTable served;
-  ServeThroughServer(backend, fleet, ArConfig(), core::PredictorKind::kAr,
-                     kSteps, scratch.path(), &served);
+  ServeThroughServer(fleet, ArConfig(), core::PredictorKind::kAr, kSteps,
+                     scratch.path(), &served);
   if (HasFatalFailure()) return;
   ExpectBitwiseEqual(served, want, "served+tiered-store vs sequential (ar)");
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, FleetEquivalenceTest,
-                         ::testing::Values(BackendKind::kSimGrid,
-                                           BackendKind::kNative),
-                         [](const auto& info) {
-                           return std::string(
-                               simgpu::BackendKindName(info.param));
-                         });
 
 }  // namespace
 }  // namespace smiler

@@ -3,14 +3,13 @@
 //
 //  1. gp::PairwiseSquaredDistancesOnDeviceBatch — one fused
 //     "gp.gram_batch" launch for N Gram jobs — must match the solo
-//     "gp.gram" launch AND the host function bit-for-bit, per job, on
-//     BOTH execution backends (simulated grid and native CPU).
+//     "gp.gram" launch AND the host function bit-for-bit, per job.
 //  2. gp::GpRegressor::FitAndPredict — the fused 2-RHS solve — must match
 //     Fit(...) followed by Predict(xstar) bit-for-bit.
 //  3. End to end: a SensorEngine fleet driven through the split
 //     BeginPredict → batched Gram launch → FinishPredict pipeline (what
 //     the serve-layer batch former does) must predict bitwise-identically
-//     to monolithic per-engine Predict() calls, on both backends.
+//     to monolithic per-engine Predict() calls.
 //
 // These are the contracts that let the serve layer fuse device launches
 // across sensors without perturbing a single prediction.
@@ -32,18 +31,11 @@
 #include "la/matrix.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
-#include "simgpu/backend.h"
 #include "simgpu/device.h"
 #include "ts/datasets.h"
 
 namespace smiler {
 namespace {
-
-using simgpu::BackendKind;
-
-simgpu::Device MakeDevice(BackendKind kind) {
-  return simgpu::Device(6ULL << 30, 64ULL << 10, nullptr, kind);
-}
 
 la::Matrix RandomMatrix(std::size_t rows, std::size_t cols, Rng* rng) {
   la::Matrix m(rows, cols);
@@ -69,17 +61,15 @@ void ExpectBitwiseEqual(const la::Matrix& a, const la::Matrix& b,
   }
 }
 
-class GramBatchEquivalenceTest
-    : public ::testing::TestWithParam<BackendKind> {};
-
-TEST_P(GramBatchEquivalenceTest, BatchMatchesSoloAndHostBitwise) {
-  simgpu::Device device = MakeDevice(GetParam());
+TEST(GramBatchEquivalenceTest, BatchMatchesSoloAndHostBitwise) {
+  simgpu::Device device;
   Rng rng(0xBA7C4ED5EEDULL);
   // Deliberately heterogeneous job sizes, including the degenerate k < 2
   // jobs that contribute no blocks to the fused grid (k = 0 and k = 1
-  // must still come back as their zero matrix).
+  // must still come back as their zero matrix) and narrow dimensions.
   const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
-      {7, 16}, {0, 16}, {12, 24}, {1, 8}, {5, 16}, {23, 24}, {2, 4}};
+      {7, 16}, {0, 16}, {12, 24}, {1, 8}, {5, 16}, {23, 24}, {2, 4},
+      {33, 1}, {33, 3}};
   std::vector<la::Matrix> inputs;
   for (const auto& [k, dim] : shapes) inputs.push_back(RandomMatrix(k, dim, &rng));
 
@@ -100,8 +90,8 @@ TEST_P(GramBatchEquivalenceTest, BatchMatchesSoloAndHostBitwise) {
   }
 }
 
-TEST_P(GramBatchEquivalenceTest, EmptyAndDegenerateBatches) {
-  simgpu::Device device = MakeDevice(GetParam());
+TEST(GramBatchEquivalenceTest, EmptyAndDegenerateBatches) {
+  simgpu::Device device;
   // No jobs at all: trivially OK, no launch.
   EXPECT_TRUE(gp::PairwiseSquaredDistancesOnDeviceBatch(&device, {}).ok());
   // Only degenerate jobs: still OK (zero blocks — no launch), outputs are
@@ -117,14 +107,6 @@ TEST_P(GramBatchEquivalenceTest, EmptyAndDegenerateBatches) {
   EXPECT_EQ(out_one(0, 0), 0.0);
   EXPECT_EQ(out_empty.rows(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, GramBatchEquivalenceTest,
-                         ::testing::Values(BackendKind::kSimGrid,
-                                           BackendKind::kNative),
-                         [](const auto& info) {
-                           return std::string(
-                               simgpu::BackendKindName(info.param));
-                         });
 
 TEST(FitAndPredictTest, MatchesSplitFitThenPredictBitwise) {
   Rng rng(0xF17A2DULL);
@@ -195,14 +177,11 @@ SmilerConfig EngineConfig() {
   return cfg;
 }
 
-class BatchedEngineEquivalenceTest
-    : public ::testing::TestWithParam<BackendKind> {};
-
-TEST_P(BatchedEngineEquivalenceTest, SplitBatchedPredictMatchesMonolithic) {
+TEST(BatchedEngineEquivalenceTest, SplitBatchedPredictMatchesMonolithic) {
   constexpr int kSensors = 3;
   constexpr int kSteps = 6;
-  simgpu::Device device_solo = MakeDevice(GetParam());
-  simgpu::Device device_batch = MakeDevice(GetParam());
+  simgpu::Device device_solo;
+  simgpu::Device device_batch;
   auto data = ts::MakeDataset(
       {ts::DatasetKind::kRoad, kSensors, 700, 64, 2015, true});
   ASSERT_TRUE(data.ok());
@@ -265,14 +244,6 @@ TEST_P(BatchedEngineEquivalenceTest, SplitBatchedPredictMatchesMonolithic) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, BatchedEngineEquivalenceTest,
-                         ::testing::Values(BackendKind::kSimGrid,
-                                           BackendKind::kNative),
-                         [](const auto& info) {
-                           return std::string(
-                               simgpu::BackendKindName(info.param));
-                         });
 
 // The server-level seam: AsyncPredict bursts for distinct GP sensors
 // must reach ExecutePredictFleet's fused gram launch (the unit above

@@ -102,8 +102,7 @@ TEST(IndexEquivalenceTest, HeapFallbacksOnTinySharedMemoryStayExact) {
   // the d = 40 blocks also read the query from global memory.
   SmilerConfig cfg = SmallConfig();
   simgpu::Device device(/*memory_budget_bytes=*/6ULL << 30,
-                        /*shared_memory_bytes=*/256, /*pool=*/nullptr,
-                        simgpu::BackendKind::kSimGrid);
+                        /*shared_memory_bytes=*/256);
   ASSERT_LT(device.shared_memory_bytes(),
             dtw::CompressedDtwBatchScratchSize(cfg.rho) * sizeof(double));
   ASSERT_LT(device.shared_memory_bytes(), cfg.elv.back() * sizeof(double));

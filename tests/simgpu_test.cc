@@ -46,8 +46,6 @@ TEST(DeviceTest, LaunchRunsEveryBlockOnce) {
   });
   ASSERT_TRUE(st.ok());
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(device.stats().kernels_launched, 1u);
-  EXPECT_EQ(device.stats().blocks_executed, 128u);
 }
 
 TEST(DeviceTest, LaunchZeroGridIsNoop) {
@@ -62,16 +60,6 @@ TEST(DeviceTest, LaunchRejectsBadDims) {
   Device device;
   EXPECT_FALSE(device.Launch(-1, 32, [](BlockContext&) {}).ok());
   EXPECT_FALSE(device.Launch(4, 0, [](BlockContext&) {}).ok());
-}
-
-TEST(DeviceTest, ForEachLaneCoversBlockDim) {
-  Device device;
-  std::atomic<int> lanes{0};
-  auto st = device.Launch(1, 17, [&](BlockContext& ctx) {
-    ctx.ForEachLane([&](int) { lanes += 1; });
-  });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(lanes.load(), 17);
 }
 
 TEST(DeviceTest, SharedMemoryIsPerBlock) {
@@ -101,45 +89,6 @@ TEST(DeviceTest, MemoryAccounting) {
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   device.FreeBytes(1024);
   EXPECT_EQ(device.memory_used(), 0u);
-}
-
-TEST(DeviceBufferTest, ChargesAndReleasesBudget) {
-  Device device(/*memory_budget_bytes=*/4096);
-  {
-    auto buf = DeviceBuffer<double>::Create(&device, 256);  // 2048 bytes
-    ASSERT_TRUE(buf.ok());
-    EXPECT_EQ(device.memory_used(), 2048u);
-    EXPECT_EQ(buf->size(), 256u);
-    (*buf)[0] = 1.5;
-    EXPECT_DOUBLE_EQ((*buf)[0], 1.5);
-    ASSERT_TRUE(buf->Resize(128).ok());
-    EXPECT_EQ(device.memory_used(), 1024u);
-    ASSERT_TRUE(buf->Resize(512).ok());
-    EXPECT_EQ(device.memory_used(), 4096u);
-    EXPECT_FALSE(buf->Resize(513).ok());  // over budget
-    EXPECT_EQ(buf->size(), 512u);         // unchanged on failure
-  }
-  EXPECT_EQ(device.memory_used(), 0u);  // destructor released
-}
-
-TEST(DeviceBufferTest, CreateFailsOverBudget) {
-  Device device(/*memory_budget_bytes=*/64);
-  auto buf = DeviceBuffer<double>::Create(&device, 9);
-  EXPECT_FALSE(buf.ok());
-  EXPECT_EQ(buf.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(device.memory_used(), 0u);
-}
-
-TEST(DeviceBufferTest, MoveTransfersOwnership) {
-  Device device(4096);
-  auto buf = DeviceBuffer<double>::Create(&device, 16);
-  ASSERT_TRUE(buf.ok());
-  DeviceBuffer<double> other = std::move(*buf);
-  EXPECT_EQ(other.size(), 16u);
-  EXPECT_EQ(device.memory_used(), 128u);
-  DeviceBuffer<double> third;
-  third = std::move(other);
-  EXPECT_EQ(device.memory_used(), 128u);
 }
 
 TEST(SharedMemoryTest, OverflowingCountIsRejectedNotWrapped) {
@@ -228,26 +177,6 @@ TEST(SharedMemoryTest, AllocationPropertySweep) {
       blocks.emplace_back(begin, end);
     }
   }
-}
-
-TEST(DeviceBufferTest, FailedGrowLeaksNoBudget) {
-  // Regression: a grow that fails admission must leave the accounting
-  // untouched, so a later shrink + regrow cycle still balances to zero.
-  Device device(/*memory_budget_bytes=*/4096);
-  auto buf = DeviceBuffer<double>::Create(&device, 512);  // exactly full
-  ASSERT_TRUE(buf.ok());
-  EXPECT_EQ(device.memory_used(), 4096u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(buf->Resize(513).code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(buf->size(), 512u);
-    EXPECT_EQ(device.memory_used(), 4096u);  // no leak per failed attempt
-  }
-  ASSERT_TRUE(buf->Resize(256).ok());
-  EXPECT_EQ(device.memory_used(), 2048u);
-  ASSERT_TRUE(buf->Resize(512).ok());  // the freed budget is really free
-  EXPECT_EQ(device.memory_used(), 4096u);
-  ASSERT_TRUE(buf->Resize(0).ok());
-  EXPECT_EQ(device.memory_used(), 0u);  // balanced after the whole dance
 }
 
 TEST(DeviceTest, ConcurrentBlocksShareGlobalMemorySafely) {

@@ -5,9 +5,9 @@
 // arena encoding rounds each lower bound DOWN (still a valid bound, so
 // filter-and-verify admits a superset of candidates and the exact DTW
 // verify + exactly-preserved prev_knn thresholds reproduce the same kNN
-// sets), which this suite pins down end to end on both execution
-// backends, plus the SMILER_STORE_BUDGET_BYTES fail-fast contract and the
-// clock eviction policy. The concurrent section drives a sharded
+// sets), which this suite pins down end to end, plus the
+// SMILER_STORE_BUDGET_BYTES fail-fast contract and the clock eviction
+// policy. The concurrent section drives a sharded
 // PredictionServer through a 1-byte budget (every batch rehydrates and
 // re-spills) from one client thread per sensor — the TSan gate runs it.
 
@@ -29,8 +29,6 @@
 
 namespace smiler {
 namespace {
-
-using simgpu::BackendKind;
 
 /// Sets (or clears, when value is null) an environment variable for the
 /// lifetime of a scope, restoring the previous state on exit.
@@ -138,8 +136,8 @@ TEST(StoreBudgetTest, InvalidEnvPoisonsEveryOperation) {
   ScopedEnv env("SMILER_STORE_BUDGET_BYTES", "lots");
   store::StoreOptions options;
   options.dir = FreshDir("store_env_invalid");
-  // Construction succeeds (mirrors SMILER_BACKEND: the error is resolved
-  // once and stored), but no operation silently falls back to a default.
+  // Construction succeeds (the error is resolved once and stored), but no
+  // operation silently falls back to a default.
   auto store_or = store::TieredStateStore::Create(options);
   ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
   store::TieredStateStore& store = **store_or;
@@ -171,70 +169,64 @@ TEST(StoreBudgetTest, ExplicitBudgetOverridesEnv) {
 }
 
 // ---------------------------------------------------------------------------
-// Evict -> rehydrate -> Predict bitwise identity, on both backends.
+// Evict -> rehydrate -> Predict bitwise identity.
 
-TEST(StoreEquivalenceTest, EvictRehydratePredictBitwiseOnBothBackends) {
+TEST(StoreEquivalenceTest, EvictRehydratePredictBitwise) {
   const int kSensors = 3;
   const int kSteps = 15;
   Fleet fleet = MakeFleet(kSensors, 96, kSteps, 2015);
 
-  for (BackendKind backend : {BackendKind::kSimGrid, BackendKind::kNative}) {
-    // Control fleet: never spills.
-    simgpu::Device control_device(6ULL << 30, 64ULL << 10, nullptr, backend);
-    auto control = core::MultiSensorManager::Create(
-        &control_device, fleet.histories, SmallConfig(),
-        core::PredictorKind::kAr);
-    ASSERT_TRUE(control.ok()) << control.status().ToString();
+  // Control fleet: never spills.
+  simgpu::Device control_device;
+  auto control = core::MultiSensorManager::Create(
+      &control_device, fleet.histories, SmallConfig(),
+      core::PredictorKind::kAr);
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
 
-    // Tiered fleet: every sensor round-trips through the quantized cold
-    // tier several times over the run.
-    simgpu::Device tiered_device(6ULL << 30, 64ULL << 10, nullptr, backend);
-    auto tiered = core::MultiSensorManager::Create(
-        &tiered_device, fleet.histories, SmallConfig(),
-        core::PredictorKind::kAr);
-    ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
-    store::StoreOptions options;
-    options.dir = FreshDir(std::string("store_equiv_") +
-                           simgpu::BackendKindName(backend));
-    options.budget_bytes = std::numeric_limits<std::size_t>::max();
-    auto store_or = store::TieredStateStore::Create(options);
-    ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
-    store::TieredStateStore& store = **store_or;
-    ASSERT_TRUE(store.Bind(&*tiered, &tiered_device).ok());
+  // Tiered fleet: every sensor round-trips through the quantized cold
+  // tier several times over the run.
+  simgpu::Device tiered_device;
+  auto tiered = core::MultiSensorManager::Create(
+      &tiered_device, fleet.histories, SmallConfig(),
+      core::PredictorKind::kAr);
+  ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+  store::StoreOptions options;
+  options.dir = FreshDir("store_equiv");
+  options.budget_bytes = std::numeric_limits<std::size_t>::max();
+  auto store_or = store::TieredStateStore::Create(options);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  store::TieredStateStore& store = **store_or;
+  ASSERT_TRUE(store.Bind(&*tiered, &tiered_device).ok());
 
-    for (int step = 0; step < kSteps; ++step) {
+  for (int step = 0; step < kSteps; ++step) {
+    for (int s = 0; s < kSensors; ++s) {
+      auto want = control->engine(s).Predict();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+      ASSERT_TRUE(store.Pin(s).ok());
+      ASSERT_TRUE(tiered->resident(s));
+      auto got = tiered->engine(s).Predict();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      // Bit equality, not a tolerance: the quantized spill must never
+      // touch the arithmetic of a surviving prediction.
+      EXPECT_EQ(got->mean, want->mean) << "sensor " << s << " step " << step;
+      EXPECT_EQ(got->variance, want->variance)
+          << "sensor " << s << " step " << step;
+
+      const double value = fleet.streams[s][step];
+      ASSERT_TRUE(control->engine(s).Observe(value).ok());
+      ASSERT_TRUE(tiered->engine(s).Observe(value).ok());
+      store.Unpin(s);
+    }
+    // Demote the whole tiered fleet every third step, so later steps
+    // predict from engines that were rebuilt off quantized segments
+    // (and their stale segments were dropped on rehydration).
+    if (step % 3 == 2) {
       for (int s = 0; s < kSensors; ++s) {
-        auto want = control->engine(s).Predict();
-        ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-        ASSERT_TRUE(store.Pin(s).ok());
-        ASSERT_TRUE(tiered->resident(s));
-        auto got = tiered->engine(s).Predict();
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        // Bit equality, not a tolerance: the quantized spill must never
-        // touch the arithmetic of a surviving prediction.
-        EXPECT_EQ(got->mean, want->mean)
-            << "backend " << simgpu::BackendKindName(backend) << " sensor "
-            << s << " step " << step;
-        EXPECT_EQ(got->variance, want->variance)
-            << "backend " << simgpu::BackendKindName(backend) << " sensor "
-            << s << " step " << step;
-
-        const double value = fleet.streams[s][step];
-        ASSERT_TRUE(control->engine(s).Observe(value).ok());
-        ASSERT_TRUE(tiered->engine(s).Observe(value).ok());
-        store.Unpin(s);
+        ASSERT_TRUE(store.Evict(s).ok());
+        EXPECT_FALSE(tiered->resident(s));
       }
-      // Demote the whole tiered fleet every third step, so later steps
-      // predict from engines that were rebuilt off quantized segments
-      // (and their stale segments were dropped on rehydration).
-      if (step % 3 == 2) {
-        for (int s = 0; s < kSensors; ++s) {
-          ASSERT_TRUE(store.Evict(s).ok());
-          EXPECT_FALSE(tiered->resident(s));
-        }
-        EXPECT_EQ(store.resident_bytes(), 0u);
-      }
+      EXPECT_EQ(store.resident_bytes(), 0u);
     }
   }
 }
